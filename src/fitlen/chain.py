@@ -70,17 +70,6 @@ class StabilizerChain:
     def base(self) -> list[int]:
         return [lv.point for lv in self.levels]
 
-    def strong_generators(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        seen: set[bytes] = set()
-        for lv in self.levels:
-            for g in lv.gens:
-                key = g.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(g)
-        return out
-
     def sift(self, arr: np.ndarray, start: int = 0):
         """Reduce arr through the chain.
 
@@ -117,9 +106,6 @@ class StabilizerChain:
             raise RuntimeError("membership test on an unverified chain")
         residue, _ = self.sift(arr)
         return residue is None
-
-    def transversal_element(self, level: int, index: int) -> np.ndarray:
-        return self.levels[level].trans[index]
 
     # -- construction ----------------------------------------------------
 

@@ -104,50 +104,70 @@ def validate_expr(expr: GroupExpr) -> None:
 
 
 def expr_order(expr: GroupExpr, default_action: str = NATURAL) -> int:
-    if isinstance(expr, (Cyclic, ElemAbelian)):
-        return expr.p ** expr.k
-    if isinstance(expr, Direct):
-        return (expr_order(expr.left, default_action)
-                * expr_order(expr.right, default_action))
-    if isinstance(expr, Wreath):
-        d = _top_point_count(expr.top, expr.action, default_action)
-        return (expr_order(expr.base, default_action) ** d
-                * expr_order(expr.top, default_action))
-    if isinstance(expr, Iterated):
-        inner = expr.expr
-        result = expr_order(inner, default_action)
-        d = _top_point_count(inner, default_action, default_action)
-        for _ in range(expr.times - 1):
-            result = result ** d * expr_order(inner, default_action)
-        return result
-    raise UsageError("not a group expression: %r" % (expr,))
+    return _size(expr, default_action, None)[1]
 
 
 def expr_degree(expr: GroupExpr, default_action: str = NATURAL) -> int:
-    if isinstance(expr, Cyclic):
-        return expr.p ** expr.k
-    if isinstance(expr, ElemAbelian):
-        return expr.k * expr.p
-    if isinstance(expr, Direct):
-        return (expr_degree(expr.left, default_action)
-                + expr_degree(expr.right, default_action))
-    if isinstance(expr, Wreath):
-        d = _top_point_count(expr.top, expr.action, default_action)
-        return expr_degree(expr.base, default_action) * d
-    if isinstance(expr, Iterated):
-        inner = expr.expr
-        deg = expr_degree(inner, default_action)
-        d = _top_point_count(inner, default_action, default_action)
-        for _ in range(expr.times - 1):
-            deg *= d
-        return deg
-    raise UsageError("not a group expression: %r" % (expr,))
+    return _size(expr, default_action, None)[0]
 
 
-def _top_point_count(top: GroupExpr, action: str, default_action: str) -> int:
-    if action == REGULAR:
-        return expr_order(top, default_action)
-    return expr_degree(top, default_action)
+def _size(expr: GroupExpr, default_action: str,
+          ceiling: Optional[int]) -> tuple[int, int]:
+    """(degree, order) of expr; exact when ceiling is None.
+
+    Otherwise each value is exact up to ceiling and reads ceiling + 1
+    past it.  A regular-action top contributes its order as a point
+    count and the orders above it raise to that power, so exact values
+    can be exponent towers; saturating every intermediate value keeps
+    the arithmetic a few hundred bits wide, and a saturated degree still
+    proves a budget below the ceiling is exceeded.  Every leaf has degree
+    and order at least 2, which bounds the exponent that can stay below
+    the ceiling.
+    """
+    if ceiling is None:
+        over = None
+
+        def cap(a: int) -> int:
+            return a
+
+        def power(a: int, e: int) -> int:
+            return a ** e
+    else:
+        over = ceiling + 1
+
+        def cap(a: int) -> int:
+            return min(a, over)
+
+        def power(a: int, e: int) -> int:
+            return over if e >= over.bit_length() else min(a ** e, over)
+
+    def size(e: GroupExpr) -> tuple[int, int]:
+        if isinstance(e, Cyclic):
+            order = power(e.p, e.k)
+            return order, order
+        if isinstance(e, ElemAbelian):
+            return cap(e.k * e.p), power(e.p, e.k)
+        if isinstance(e, Direct):
+            ld, lo = size(e.left)
+            rd, ro = size(e.right)
+            return cap(ld + rd), cap(lo * ro)
+        if isinstance(e, Wreath):
+            bd, bo = size(e.base)
+            td, to = size(e.top)
+            d = to if e.action == REGULAR else td
+            return cap(bd * d), cap(power(bo, d) * to)
+        if isinstance(e, Iterated):
+            inner_deg, inner_order = size(e.expr)
+            d = inner_order if default_action == REGULAR else inner_deg
+            deg, order = inner_deg, inner_order
+            for _ in range(e.times - 1):
+                if deg == order == over:
+                    break
+                deg, order = cap(deg * d), cap(power(order, d) * inner_order)
+            return deg, order
+        raise UsageError("not a group expression: %r" % (e,))
+
+    return size(expr)
 
 
 def expr_to_text(expr: GroupExpr) -> str:
@@ -416,17 +436,24 @@ def build(expr: GroupExpr, default_action: str = NATURAL,
           limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
     """Materialize an expression as a permutation group with Sylow system."""
     validate_expr(expr)
-    needed = expr_degree(expr, default_action)
+    # exact up to this ceiling; anything larger only has to be seen to
+    # exceed the budget
+    ceiling = max(limits.max_degree, 1 << 64)
+    needed, _ = _size(expr, default_action, ceiling)
     if needed > limits.max_degree:
         hint = ""
         if _uses_regular(expr) or default_action == REGULAR:
-            natural_deg = expr_degree(_all_natural(expr), NATURAL)
+            natural_deg, _ = _size(_all_natural(expr), NATURAL, ceiling)
             hint = (" (involves the regular action; all-natural would need"
-                    " degree %d)" % natural_deg)
+                    " degree %s)" % _degree_text(natural_deg, ceiling))
         raise DegreeBudgetError(
-            "degree budget exceeded: expression needs degree %d > %d%s"
-            % (needed, limits.max_degree, hint), needed)
+            "degree budget exceeded: expression needs degree %s > %d%s"
+            % (_degree_text(needed, ceiling), limits.max_degree, hint), needed)
     return _build(expr, default_action, limits)
+
+
+def _degree_text(degree: int, ceiling: int) -> str:
+    return "%d" % degree if degree <= ceiling else "more than %d" % ceiling
 
 
 def _uses_regular(expr: GroupExpr) -> bool:

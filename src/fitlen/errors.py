@@ -24,7 +24,10 @@ class NotSolubleError(FitlenError, ValueError):
 class DegreeBudgetError(FitlenError, ValueError):
     """A construction would exceed the configured maximum degree.
 
-    Carries the degree the construction would have needed.
+    Carries the degree the construction would have needed.  When that
+    degree is too large to write down (an exponent tower of regular
+    actions), build() reports the first integer past its arithmetic
+    ceiling instead, which still exceeds the budget.
     """
 
     def __init__(self, message: str, required_degree: int):

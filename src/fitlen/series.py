@@ -17,6 +17,14 @@ Implementation notes, since the large examples live or die here:
   L = <X>^G then [L, N] = <[x, t] : x in X, t in gens(N)>^G, so the
   seed set for the next step only needs the previous step's surviving
   seeds, not the full generator list its chain accumulated.
+
+* Generator lists are used as given, never slimmed.  A closure keeps a
+  conjugate only when it strictly enlarges a fully verified chain, so
+  no kept generator lies in the group of those before it: the list is
+  irredundant and rebuilding a chain to shorten it would drop nothing
+  (Seress 2003, ch. 4).  Hall subgroups arrive with the kept list of a
+  batched chain build, which is irredundant for most prime sets but not
+  for all; tests/test_series.py pins every list of two example families.
 """
 
 from __future__ import annotations
@@ -32,9 +40,6 @@ from .errors import ContainmentError, NotSolubleError
 from .group import PermGroup
 from .perms import Permutation, compose_arrays, invert_array
 
-# generator lists longer than this get slimmed before series work
-_SLIM_THRESHOLD = 24
-
 
 @dataclass(frozen=True)
 class SubgroupSeries:
@@ -46,11 +51,17 @@ class SubgroupSeries:
         return len(self.terms) - 1
 
 
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a^-1 b^-1 a b, applied left to right
-    return compose_arrays(
-        compose_arrays(compose_arrays(invert_array(a), invert_array(b)), a), b
-    )
+def _commutators(left: Sequence[np.ndarray], right: Sequence[np.ndarray]):
+    """[x, t] = x^-1 t^-1 x t (applied left to right) for every pair.
+
+    Each factor is inverted once, so a step over m left and n right
+    generators makes m + n inversions instead of 2mn.
+    """
+    right_pairs = [(t, invert_array(t)) for t in right]
+    for x in left:
+        x_inv = invert_array(x)
+        for t, t_inv in right_pairs:
+            yield t[x[t_inv[x_inv]]]
 
 
 def _closure(degree: int, seeds: Sequence[np.ndarray],
@@ -61,6 +72,12 @@ def _closure(degree: int, seeds: Sequence[np.ndarray],
     normal.  Returns (group, kept_seeds): the seeds that enlarged the
     chain normally generate the closure, so they are what the caller
     should carry into a follow-up commutator step.
+
+    The group's generator list is irredundant: an element is kept only
+    when add_generator, which verifies the chain after every insertion,
+    finds it outside the group of the elements kept before it.  So
+    PermGroup.reduced() would return the same list, and callers use it
+    as it is.
     """
     chain = StabilizerChain(degree)
     kept: list[np.ndarray] = []
@@ -93,12 +110,6 @@ def _closure(degree: int, seeds: Sequence[np.ndarray],
     return PermGroup.from_arrays(degree, kept, chain=chain), kept_seeds
 
 
-def _slim(G: PermGroup) -> PermGroup:
-    if len(G.generators) > _SLIM_THRESHOLD:
-        return G.reduced()
-    return G
-
-
 def _gen_arrays(G: PermGroup) -> list[np.ndarray]:
     return [g.images for g in G.generators]
 
@@ -112,7 +123,7 @@ def _check_inside(G: PermGroup, elements: Sequence[Permutation], what: str) -> N
 def normal_closure(G: PermGroup, S: Sequence[Permutation]) -> PermGroup:
     """Smallest subgroup of G containing S and normalized by G."""
     _check_inside(G, S, "normal_closure")
-    group, _ = _closure(G.degree, [g.images for g in S], _gen_arrays(_slim(G)))
+    group, _ = _closure(G.degree, [g.images for g in S], _gen_arrays(G))
     return group
 
 
@@ -123,7 +134,7 @@ def commutator_subgroup(H: PermGroup, K: PermGroup,
     _check_inside(ambient, K.generators, "commutator_subgroup (right)")
     h_arrays = _gen_arrays(H)
     k_arrays = _gen_arrays(K)
-    seeds = [_commutator(h, k) for h in h_arrays for k in k_arrays]
+    seeds = list(_commutators(h_arrays, k_arrays))
     group, _ = _closure(H.degree, seeds, h_arrays + k_arrays)
     return group
 
@@ -140,13 +151,11 @@ def _commutator_step(degree: int, left_normal_gens: Sequence[np.ndarray],
     """
     seeds = []
     seen = set()
-    for x in left_normal_gens:
-        for t in right_gens:
-            c = _commutator(x, t)
-            key = c.tobytes()
-            if key not in seen:
-                seen.add(key)
-                seeds.append(c)
+    for c in _commutators(left_normal_gens, right_gens):
+        key = c.tobytes()
+        if key not in seen:
+            seen.add(key)
+            seeds.append(c)
     return _closure(degree, seeds, conjugators)
 
 
@@ -154,10 +163,9 @@ def _commutator_step(degree: int, left_normal_gens: Sequence[np.ndarray],
 
 def derived_series(G: PermGroup,
                    limits: Limits = DEFAULT_LIMITS) -> SubgroupSeries:
-    root = _slim(G)
-    conj = _gen_arrays(root)
+    conj = _gen_arrays(G)
     terms = [G]
-    current = root
+    current = G
     normal_gens = conj
     while current.order > 1:
         nxt, kept_seeds = _commutator_step(
@@ -167,7 +175,7 @@ def derived_series(G: PermGroup,
                 "derived series stabilized at order %d" % current.order
             )
         terms.append(nxt)
-        current = _slim(nxt)
+        current = nxt
         normal_gens = kept_seeds if kept_seeds else _gen_arrays(current)
         if len(terms) > limits.series_step_limit:
             raise NotSolubleError("derived series exceeded step limit")
@@ -211,11 +219,10 @@ def lower_central_series(H: PermGroup,
 
     The last term is the nilpotent residual of H.
     """
-    root = _slim(H)
-    conj = _gen_arrays(root)
+    conj = _gen_arrays(H)
     right = conj
     terms = [H]
-    current = root
+    current = H
     x = conj
     while True:
         nxt, kept_seeds = _commutator_step(H.degree, x, right, conj)
@@ -253,9 +260,7 @@ def _system_residual_seeds(system_gens: dict[int, Sequence[np.ndarray]]):
     seeds = []
     for i, p in enumerate(primes):
         for q in primes[i + 1:]:
-            for a in system_gens[p]:
-                for b in system_gens[q]:
-                    seeds.append(_commutator(a, b))
+            seeds.extend(_commutators(system_gens[p], system_gens[q]))
     return seeds
 
 
@@ -269,10 +274,9 @@ def lower_nilpotent_series(G: PermGroup,
     closure instead of a lower-central iteration; later terms carry no
     system and always use the iteration.
     """
-    root = _slim(G)
-    conj = _gen_arrays(root)
+    conj = _gen_arrays(G)
     terms = [G]
-    current = root
+    current = G
     normal_gens: Optional[Sequence[np.ndarray]] = None
     first = True
     while current.order > 1:
@@ -288,7 +292,7 @@ def lower_nilpotent_series(G: PermGroup,
                 "nilpotent residual stabilized at order %d" % current.order
             )
         terms.append(nxt)
-        current = _slim(nxt)
+        current = nxt
         normal_gens = witness
         if len(terms) > limits.series_step_limit:
             raise NotSolubleError("lower nilpotent series exceeded step limit")

@@ -30,6 +30,24 @@ def test_build_direct():
     assert "w = 2" in out
 
 
+def test_exponent_tower_over_budget_exits_cleanly():
+    # a regular-action top of order 2^896 * 896 under another regular
+    # wreath: the exact degree is an exponent tower, so the budget check
+    # must give up on it long before the address-space cap is reached
+    import resource
+
+    def cap_memory():
+        limit = 1500 * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    expr = "W(C(2,1),WR(C(2,1),WR(C(2,1),WR(C(2,1),WR(C(2,1),C(7,1))))))"
+    proc = subprocess.run(PKG_ARGS + ["build", expr], capture_output=True,
+                          text=True, timeout=30, preexec_fn=cap_memory)
+    assert proc.returncode == 1
+    assert "degree budget exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_iterated_zero_is_usage_error():
     code, _, err = run_cli("build", "IT(C(2,1),0)")
     assert code == 1

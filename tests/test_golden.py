@@ -1,0 +1,33 @@
+"""Byte-for-byte comparison with recorded --format kv documents.
+
+Each file under tests/golden/ is the stdout of one CLI command.  Engine
+changes must leave every printed invariant alone, so a difference here is
+a bug unless the document itself was changed on purpose; only then
+regenerate the file, with
+
+    python -m fitlen <args> --format kv > tests/golden/<name>.kv
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EX32A = "W(C(2,1),W(C(3,1),C(5,1)))"
+
+CASES = {
+    "build_w2w35": ("build", EX32A),
+    "fitting_w2w35": ("fitting", EX32A),
+    "check_w2w35": ("check", EX32A),
+    "example_3.3": ("example", "3.3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kv_document_matches_golden(name):
+    args = [sys.executable, "-m", "fitlen", *CASES[name], "--format", "kv"]
+    proc = subprocess.run(args, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / (name + ".kv")).read_bytes()
