@@ -8,12 +8,28 @@ the Fitting length through the upper series with genuine quotient
 groups, Hall subgroups by greedy search instead of Sylow systems,
 product-set factorizations, and the empirical harness for the two
 trifactorization conjectures.
+
+Closures grow one generator at a time by Dimino's algorithm (Holt,
+Eick, O'Brien, *Handbook of Computational Group Theory*, section 4.1):
+a generator already inside is skipped, and the new group is listed
+coset by coset, so each new element costs one product and each
+(coset representative, generator) pair is tried once.  Products are
+C-level `itemgetter` calls, built once per left factor.  The normal
+closure of a conjugacy class is needed only for its order, so only the
+primes of that order are kept, and only for the classes `core_sigma`
+actually reaches.
+
+Only element sets and invariants are contracts.  The order in which a
+`TinyGroup` lists its elements, its classes or the generators of a core
+follows from the enumeration and may change with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from math import lcm
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import NotSolubleError, OracleScaleError
@@ -22,9 +38,20 @@ from .group import PermGroup, factorize
 Elem = tuple[int, ...]
 
 
+def _left(a: Elem) -> Callable[[Elem], Elem]:
+    """b -> the product of a then b, as one C-level call.
+
+    itemgetter with a single index returns a scalar, not a 1-tuple, so
+    degrees 0 and 1 keep the plain tuple build.
+    """
+    if len(a) > 1:
+        return itemgetter(*a)
+    return lambda b: tuple(b[x] for x in a)
+
+
 def _mul(a: Elem, b: Elem) -> Elem:
     # apply a first, then b
-    return tuple(b[x] for x in a)
+    return _left(a)(b)
 
 
 def _inv(a: Elem) -> Elem:
@@ -35,13 +62,65 @@ def _inv(a: Elem) -> Elem:
 
 
 def element_order(a: Elem) -> int:
-    ident = tuple(range(len(a)))
+    """The lcm of the cycle lengths; no products are formed."""
+    seen = bytearray(len(a))
     n = 1
-    x = a
-    while x != ident:
-        x = _mul(x, a)
-        n += 1
+    for start in range(len(a)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = a[x]
+            length += 1
+        n = lcm(n, length)
     return n
+
+
+class _Closure:
+    """A subgroup grown one generator at a time (Dimino's algorithm).
+
+    elems is always a group H.  Adding g lists <H, g> as right cosets
+    H r: the first is H g, and each product r s of a coset
+    representative with a generator that falls outside the cosets listed
+    so far opens another.  Once no product does, the cosets are closed
+    under every generator, so they are the group.  Each (representative,
+    generator) pair is tried once, and each new element costs one
+    product, through getters for H built once per added generator.
+    """
+
+    def __init__(self, degree: int, cap: int):
+        ident = tuple(range(degree))
+        self.elems = [ident]
+        self.seen = {ident}
+        self.gens: list[Elem] = []
+        self.cap = cap
+
+    def add(self, g: Elem) -> None:
+        if g in self.seen:  # a closure is a group: g adds nothing
+            return
+        self.gens.append(g)
+        old = [_left(h) for h in self.elems]
+        reps = [g]
+        self._coset(old, g)
+        j = 0
+        while j < len(reps):
+            times = _left(reps[j])
+            j += 1
+            for s in self.gens:
+                y = times(s)
+                if y not in self.seen:
+                    reps.append(y)
+                    self._coset(old, y)
+
+    def _coset(self, old: list[Callable[[Elem], Elem]], r: Elem) -> None:
+        if len(self.elems) + len(old) > self.cap:
+            raise OracleScaleError(
+                "oracle scale exceeded: more than %d elements" % self.cap)
+        coset = [times(r) for times in old]
+        self.seen.update(coset)
+        self.elems.extend(coset)
 
 
 class TinyGroup:
@@ -53,7 +132,10 @@ class TinyGroup:
         self.gens = gens
         self.index = {e: i for i, e in enumerate(elements)}
         self._classes: Optional[list[list[Elem]]] = None
-        self._class_closures: Optional[list[list[Elem]]] = None
+        # class index -> primes of ord(x) and of |<x^G>| for a
+        # representative x, each filled on demand
+        self._rep_primes: dict[int, frozenset[int]] = {}
+        self._closure_primes: dict[int, frozenset[int]] = {}
         self._core_cache: dict[tuple[int, ...], "TinyGroup"] = {}
         self._hall_cache: dict[tuple[int, ...], "TinyGroup"] = {}
 
@@ -80,7 +162,8 @@ class TinyGroup:
         if self._classes is None:
             seen: set[Elem] = set()
             classes = []
-            pairs = [(g, _inv(g)) for g in self.gens]
+            # x^g = g^-1 x g, formed as g^-1 (x g)
+            pairs = [(g, _left(_inv(g))) for g in self.gens]
             for e in self.elements:
                 if e in seen:
                     continue
@@ -88,10 +171,10 @@ class TinyGroup:
                 seen.add(e)
                 qi = 0
                 while qi < len(cls):
-                    x = cls[qi]
+                    times = _left(cls[qi])
                     qi += 1
-                    for g, gi in pairs:
-                        y = _mul(_mul(gi, x), g)
+                    for g, inv_times in pairs:
+                        y = inv_times(times(g))
                         if y not in seen:
                             seen.add(y)
                             cls.append(y)
@@ -101,27 +184,16 @@ class TinyGroup:
 
 
 def _bfs_closure(degree: int, gens: Sequence[Elem], cap: int) -> list[Elem]:
-    ident = tuple(range(degree))
-    elems = [ident]
-    seen = {ident}
-    qi = 0
-    while qi < len(elems):
-        x = elems[qi]
-        qi += 1
-        for g in gens:
-            y = _mul(x, g)
-            if y not in seen:
-                if len(elems) >= cap:
-                    raise OracleScaleError(
-                        "oracle scale exceeded: more than %d elements" % cap)
-                seen.add(y)
-                elems.append(y)
-    return elems
+    """The elements of <gens>, identity first; at most cap of them."""
+    closure = _Closure(degree, cap)
+    for g in gens:
+        closure.add(g)
+    return closure.elems
 
 
 def enumerate_group(G, limits: Limits = DEFAULT_LIMITS,
                     cap: Optional[int] = None) -> TinyGroup:
-    """Enumerate a PermGroup (or generator list) by breadth-first closure."""
+    """Enumerate a PermGroup (or generator list) by closure."""
     if isinstance(G, TinyGroup):
         return G
     if isinstance(G, PermGroup):
@@ -144,15 +216,22 @@ def subgroup_closure(T: TinyGroup, gens: Sequence[Elem]) -> TinyGroup:
 
 # -- cores, Fitting subgroup, upper Fitting length --------------------------
 
-def _class_closures(T: TinyGroup) -> list[list[Elem]]:
-    # normal closure <x^G> for one representative per class; conjugate
-    # elements share theirs
-    if T._class_closures is None:
-        out = []
-        for cls in T.conjugacy_classes():
-            out.append(_bfs_closure(T.degree, cls, T.order + 1))
-        T._class_closures = out
-    return T._class_closures
+def _rep_primes(T: TinyGroup, i: int, cls: list[Elem]) -> frozenset[int]:
+    # primes of ord(x) for the i-th class; conjugate elements share them
+    primes = T._rep_primes.get(i)
+    if primes is None:
+        primes = T._rep_primes[i] = frozenset(
+            factorize(element_order(cls[0])))
+    return primes
+
+
+def _closure_primes(T: TinyGroup, i: int, cls: list[Elem]) -> frozenset[int]:
+    # primes of |<x^G>| for the i-th class, whose elements generate it
+    primes = T._closure_primes.get(i)
+    if primes is None:
+        order = len(_bfs_closure(T.degree, cls, T.order + 1))
+        primes = T._closure_primes[i] = frozenset(factorize(order))
+    return primes
 
 
 def core_sigma(T: TinyGroup, sigma: Iterable[int]) -> TinyGroup:
@@ -161,6 +240,11 @@ def core_sigma(T: TinyGroup, sigma: Iterable[int]) -> TinyGroup:
     Generated by every element whose normal closure is a sigma-group;
     products of normal sigma-subgroups are again normal sigma-subgroups,
     so that join is exact.
+
+    A class is ruled out by its representative's order first: x lies in
+    <x^G>, so by Lagrange ord(x) divides |<x^G>|, and a prime of ord(x)
+    outside sigma already makes the closure no sigma-group.  Only the
+    classes that pass get their closure order computed, once per T.
     """
     key = tuple(sorted(set(sigma)))
     cached = T._core_cache.get(key)
@@ -168,15 +252,17 @@ def core_sigma(T: TinyGroup, sigma: Iterable[int]) -> TinyGroup:
         return cached
     sigma_set = set(key)
     gens: list[Elem] = []
-    current: set[Elem] = {T.identity()}
-    for cls, closure in zip(T.conjugacy_classes(), _class_closures(T)):
-        if cls[0] in current:  # whole class is, the join so far being normal
+    current = _Closure(T.degree, T.order + 1)
+    for i, cls in enumerate(T.conjugacy_classes()):
+        if cls[0] in current.seen:  # so is the class: the join is normal
             continue
-        if len(closure) > 1 and not set(factorize(len(closure))) <= sigma_set:
+        if not (_rep_primes(T, i, cls) <= sigma_set
+                and _closure_primes(T, i, cls) <= sigma_set):
             continue
         gens.extend(cls)
-        current = set(_bfs_closure(T.degree, gens, T.order + 1))
-    result = TinyGroup(T.degree, sorted(current), gens)
+        for x in cls:
+            current.add(x)
+    result = TinyGroup(T.degree, sorted(current.elems), gens)
     T._core_cache[key] = result
     return result
 
@@ -207,8 +293,9 @@ def quotient_by(T: TinyGroup, N: TinyGroup) -> TinyGroup:
             continue
         cid = len(reps)
         reps.append(e)
+        times = _left(e)
         for n in N.elements:
-            coset_of[_mul(e, n)] = cid
+            coset_of[times(n)] = cid
     qgens = []
     for g in T.gens:
         qgens.append(tuple(coset_of[_mul(rep, g)] for rep in reps))
@@ -293,11 +380,22 @@ def core_containment_holds(T: TinyGroup, sigma: Iterable[int],
 
 def product_set(H_elems: Sequence[Elem], K_elems: Sequence[Elem],
                 limits: Limits = DEFAULT_LIMITS) -> set[Elem]:
+    """The set of products hk; K_elems must list a subgroup K.
+
+    HK is the union of the cosets hK, and an h already in HK lies in an
+    earlier coset h'K, so hK = h'K adds nothing: each coset is formed
+    once, |HK| products in place of |H||K|.  The budget still bounds
+    the pairs.
+    """
     if len(H_elems) * len(K_elems) > limits.pair_budget:
         raise OracleScaleError(
             "product-set budget exceeded: %d * %d pairs"
             % (len(H_elems), len(K_elems)))
-    return {_mul(h, k) for h in H_elems for k in K_elems}
+    out: set[Elem] = set()
+    for h in H_elems:
+        if h not in out:
+            out.update(map(_left(h), K_elems))
+    return out
 
 
 def product_set_order(H: TinyGroup, K: TinyGroup,

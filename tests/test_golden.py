@@ -22,6 +22,15 @@ CASES = {
     "fitting_w2w35": ("fitting", EX32A),
     "check_w2w35": ("check", EX32A),
     "example_3.3": ("example", "3.3"),
+    # the only command that runs the oracle: README's trifactorization
+    # instance, and a triple product whose hypothesis holds
+    "conjecture_trifactor_w32": (
+        "conjecture", "W(C(3,1),C(2,1))", "--H", "(1 4)(2 5)(3 6)",
+        "--K", "(1 2 3)", "--L", "(1 4)(2 5)(3 6);(1 2 3)(4 5 6)"),
+    "conjecture_triple_d120": (
+        "conjecture", "D(W(C(2,1),C(3,1)),C(5,1))",
+        "--n1", "(1 2);(3 4);(5 6)", "--n2", "(1 3 5)(2 4 6)",
+        "--n3", "(7 8 9 10 11)"),
 }
 
 

@@ -1,16 +1,21 @@
 import itertools
 
-import pytest
+import tracemalloc
 
+import pytest
+from conftest import brute_force_elements
+
+from fitlen.construct import build, parse_expr
 from fitlen.errors import NotSolubleError, OracleScaleError
 from fitlen.group import PermGroup, factorize, p_part
-from fitlen.oracle import (check_nilpotent_triple_product,
-                           check_trifactorization, core_sigma, enumerate_group,
-                           fitting_length_upper, fitting_subgroup,
-                           hall_subgroup_search, is_nilpotent_tiny,
-                           product_set_order, quotient_by, subgroup_closure,
+from fitlen.oracle import (_bfs_closure, _mul, check_nilpotent_triple_product,
+                           check_trifactorization, core_sigma, element_order,
+                           enumerate_group, fitting_length_upper,
+                           fitting_subgroup, hall_subgroup_search,
+                           is_nilpotent_tiny, product_set, product_set_order,
+                           quotient_by, subgroup_closure,
                            core_containment_holds)
-from fitlen.perms import parse_cycles
+from fitlen.perms import Permutation, parse_cycles
 from fitlen.series import fitting_length
 
 
@@ -192,6 +197,23 @@ def test_product_order_formula_sampled(oracle_catalog):
             assert hk * meet == H.order * K.order, name
 
 
+def test_product_set_matches_every_pair(oracle_catalog):
+    # one coset per hK must give the set of all |H||K| products, also
+    # when the left factor is no subgroup
+    for name, cg in oracle_catalog.items():
+        if cg.num_primes < 2 or cg.order > 400:
+            continue
+        T = enumerate_group(cg.group)
+        subs = [subgroup_closure(T, [tuple(int(i) for i in g.images)
+                                     for g in gens])
+                for _, gens in sorted(cg.system.items())] + [T]
+        lefts = [S.elements for S in subs] + [T.elements[::3]]
+        for left in lefts:
+            for K in subs:
+                every = {_mul(h, k) for h in left for k in K.elements}
+                assert product_set(left, K.elements) == every, name
+
+
 def test_trifactorization_s3_instance(s3):
     H = [tuple(parse_cycles("(1 2)", 3).images)]
     K = [tuple(parse_cycles("(1 2 3)", 3).images)]
@@ -235,3 +257,65 @@ def test_triple_product_hypothesis_unmet(s3):
     H = [tuple(parse_cycles("(1 2)", 3).images)]
     report = check_nilpotent_triple_product(s3, H, H, H)
     assert not report.hypothesis_met  # product is too small
+
+
+def _repeated_product_order(a):
+    ident = tuple(range(len(a)))
+    n, x = 1, a
+    while x != ident:
+        x = _mul(x, a)
+        n += 1
+    return n
+
+
+def test_element_order_matches_repeated_products(oracle_catalog):
+    for name, cg in oracle_catalog.items():
+        T = enumerate_group(cg.group)
+        for x in T.elements:
+            assert element_order(x) == _repeated_product_order(x), (name, x)
+
+
+def test_closure_matches_brute_force_on_padded_generator_lists(oracle_catalog):
+    # duplicates, the identity and members the others already generate
+    # must change neither the element set nor leave a repeated element
+    for name, cg in oracle_catalog.items():
+        gens = [tuple(int(i) for i in g.images) for g in cg.group.generators]
+        ident = tuple(range(cg.degree))
+        padded = ([ident] + gens + gens[::-1] + [ident]
+                  + [_mul(a, b) for a, b in zip(gens, gens[1:])]
+                  + [_mul(gens[0], gens[0])])
+        elems = _bfs_closure(cg.degree, padded, cg.order + 1)
+        assert elems[0] == ident, name
+        assert len(elems) == len(set(elems)) == cg.order, name
+        assert set(elems) == brute_force_elements(padded), name
+
+
+def test_degree_one_groups_end_to_end():
+    # itemgetter with one index returns a scalar, not a tuple
+    T = enumerate_group(PermGroup.trivial(1))
+    assert T.order == 1 and T.elements == [(0,)]
+    assert core_sigma(T, (2,)).order == 1
+    assert fitting_length_upper(T) == 0
+    U = enumerate_group([Permutation.identity(1)])
+    assert U.gens == [(0,)] and U.order == 1
+    assert U.conjugacy_classes() == [[(0,)]]
+    assert core_sigma(U, (3,)).elements == [(0,)]
+    assert fitting_length_upper(U) == 0
+    assert _mul((0,), (0,)) == (0,)
+    assert product_set(U.elements, U.elements) == {(0,)}
+
+
+def test_fitting_length_upper_memory_on_abelian_anchor():
+    # an abelian group of order 1680 has 1680 conjugacy classes; keeping
+    # every class's normal closure as an element list peaked near 78 MB
+    cg = build(parse_expr("D(C(2,2),D(D(C(7,1),C(2,2)),D(C(3,1),C(5,1))))"))
+    T = enumerate_group(cg.group)
+    assert T.order == 1680
+    tracemalloc.start()
+    try:
+        h = fitting_length_upper(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h == 1
+    assert peak < 16 * 2 ** 20, peak
