@@ -14,6 +14,16 @@ exact order up front (`target_order`) the builder may stop as soon as
 the product reaches it.  That shortcut is only sound when the supplied
 order is exact; callers that need to *measure* an order must not pass
 one.
+
+Verification scans levels deepest first, and finishes every level
+below L before it scans level L.  That order makes one kind of pair
+redundant: when a strong generator s of level L fixes the base point
+b_L, the Schreier generator of the pair (b_L, s) is s itself, and s is
+also a strong generator of level L+1, because a residue is stored on
+every level down to the first base point it moves.  Level L+1 is
+verified, so s sifts to the identity there, and the pair is skipped
+without a sift.  Identity tests compare an array's raw bytes with the
+chain's identity image.
 """
 
 from __future__ import annotations
@@ -58,6 +68,7 @@ class StabilizerChain:
         self.target_order = target_order
         self.complete = True  # empty chain is the trivial group
         self._base = np.empty(0, dtype=np.intp)
+        self._ident = _arange(degree).tobytes()
 
     # -- queries ---------------------------------------------------------
 
@@ -71,7 +82,7 @@ class StabilizerChain:
         return [lv.point for lv in self.levels]
 
     def sift(self, arr: np.ndarray, start: int = 0):
-        """Reduce arr through the chain.
+        """Reduce arr, an intp image array, through the chain.
 
         Returns (None, len(levels)) when arr reduces to the identity,
         else (residue, level) where level is the first level the
@@ -81,23 +92,26 @@ class StabilizerChain:
         levels = self.levels
         nlev = len(levels)
         base = self._base
+        ident = self._ident
         idx = start
         # jump straight to the next base point the residue moves; levels
         # with a fixed base point contribute the identity coset rep
         while idx < nlev:
             tail = base[idx:]
-            moved = np.nonzero(arr[tail] != tail)[0]
-            if moved.size == 0:
+            moved = arr[tail] != tail
+            k = int(moved.argmax())
+            if not moved[k]:
                 break
-            idx += int(moved[0])
+            idx += k
             lv = levels[idx]
-            img = int(arr[lv.point])
-            j = lv.pos.get(img)
+            j = lv.pos.get(int(arr[lv.point]))
             if j is None:
                 return arr, idx
             arr = lv.trans_inv[j][arr]
+            if arr.tobytes() == ident:
+                return None, nlev
             idx += 1
-        if (arr == _arange(self.degree)).all():
+        if arr.tobytes() == ident:
             return None, nlev
         return arr, nlev
 
@@ -188,30 +202,43 @@ class StabilizerChain:
         if self._target_reached():
             self.complete = True
             return
-        ident = _arange(self.degree)
+        ident = self._ident
         levels = self.levels
         i = len(levels) - 1
         while i >= 0:
+            # residues go to levels below i, so this level's orbit and
+            # generators stay fixed while its pending pairs are scanned
             lv = levels[i]
-            # find the next unverified Schreier pair at this level
-            while lv.vscan < len(lv.orbit) and lv.vdone[lv.vscan] >= len(lv.gens):
-                lv.vscan += 1
-            if lv.vscan >= len(lv.orbit):
-                i -= 1
-                continue
-            pidx = lv.vscan
-            gidx = lv.vdone[pidx]
-            u = lv.trans[pidx]
-            s = lv.gens[gidx]
-            w = s[u]
-            img = int(w[lv.point])
-            schreier = lv.trans_inv[lv.pos[img]][w]
-            if (schreier == ident).all():
-                lv.vdone[pidx] = gidx + 1
-                continue
-            residue, stuck = self.sift(schreier, i + 1)
+            point, gens, pos = lv.point, lv.gens, lv.pos
+            trans, trans_inv, vdone = lv.trans, lv.trans_inv, lv.vdone
+            ngens = len(gens)
+            residue = None
+            p = lv.vscan
+            while p < len(trans):
+                u = trans[p]
+                g = vdone[p]
+                while g < ngens:
+                    s = gens[g]
+                    # (b_L, s) with s(b_L) = b_L: the Schreier generator
+                    # is s, a strong generator of the verified level
+                    # below, so it sifts to the identity
+                    if p == 0 and s[point] == point:
+                        g += 1
+                        continue
+                    w = s[u]
+                    schreier = trans_inv[pos[int(w[point])]][w]
+                    if schreier.tobytes() != ident:
+                        residue, stuck = self.sift(schreier, i + 1)
+                        if residue is not None:
+                            break
+                    g += 1
+                vdone[p] = g
+                if residue is not None:
+                    break
+                p += 1
+            lv.vscan = p
             if residue is None:
-                lv.vdone[pidx] = gidx + 1
+                i -= 1
                 continue
             self._insert(residue, i + 1, stuck)
             if self._target_reached():

@@ -1,12 +1,19 @@
+import hashlib
+import json
 import math
 import random
+from itertools import combinations
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fitlen.chain import build_chain
+from fitlen.construct import hall_chain
 from fitlen.errors import ContainmentError, DegreeMismatchError
 from fitlen.group import PermGroup, factorize
 from fitlen.perms import Permutation, parse_cycles
+from fitlen.series import derived_series, lower_nilpotent_series
 
 from conftest import brute_force_elements
 
@@ -149,3 +156,85 @@ def test_random_generator_sets_match_brute_force():
             imgs = list(range(degree))
             rng.shuffle(imgs)
             assert G.contains(Permutation(list(imgs))) == (tuple(imgs) in bf)
+
+
+# -- pinned chains and the completeness certificate ---------------------------
+
+PINS = Path(__file__).resolve().parent / "golden" / "chain_pins.json"
+
+
+def _chain_digest(chain, kept):
+    """SHA-256 of base, orbits, per-level strong generators and kept list.
+
+    kept is a list of generator indices (build_chain) or of generator
+    arrays (normal closures, Hall chains).  Arrays are hashed as
+    little-endian int64, so the digest does not depend on the platform's
+    intp.
+    """
+    h = hashlib.sha256()
+    h.update(repr(chain.base()).encode())
+    for lv in chain.levels:
+        h.update(repr(lv.orbit).encode())
+        h.update(b"gens%d" % len(lv.gens))
+        for g in lv.gens:
+            h.update(g.astype("<i8").tobytes())
+    h.update(b"kept%d" % len(kept))
+    for k in kept:
+        h.update(repr(k).encode() if isinstance(k, int)
+                 else np.asarray(k).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def _pinned_chains(catalog):
+    """(name, chain, kept) for every chain whose digest is pinned."""
+    for name in sorted(catalog):
+        cg = catalog[name]
+        chain, kept = build_chain(cg.degree, [g.images for g in cg.group.generators])
+        yield "build/" + name, chain, kept
+    for name in ("ex33", "w4big"):
+        cg = catalog[name]
+        system = {p: [g.images for g in cg.system[p]] for p in cg.primes}
+        for series in (derived_series(cg.group),
+                       lower_nilpotent_series(cg.group, system_gens=system)):
+            for i, T in enumerate(series.terms):
+                yield ("%s/%s/%d" % (series.kind, name, i), T.chain,
+                       [g.images for g in T.generators])
+    cg = catalog["ex33"]
+    for size in range(1, cg.num_primes + 1):
+        for sigma in combinations(cg.primes, size):
+            chain, kept = hall_chain(cg, sigma)
+            yield "hall/ex33/" + ",".join(map(str, sigma)), chain, kept
+
+
+def _assert_schreier_complete(chain):
+    """Sift every Schreier generator of every level; all must vanish.
+
+    Unlike the builder, this also sifts the base-point pairs (b_L, s)
+    with s(b_L) = b_L that verification skips, so it certifies that
+    skipping them lost nothing.  Returns the number of generators sifted.
+    """
+    ident = np.arange(chain.degree)
+    count = 0
+    for i, lv in enumerate(chain.levels):
+        for p, u in enumerate(lv.trans):
+            for s in lv.gens:
+                w = s[u]
+                schreier = lv.trans_inv[lv.pos[int(w[lv.point])]][w]
+                assert schreier[lv.point] == lv.point
+                residue, _ = chain.sift(schreier, i + 1)
+                assert residue is None, (i, p)
+                count += 1
+        assert (lv.trans[0] == ident).all()
+    return count
+
+
+def test_pinned_chains_are_unchanged(catalog):
+    expected = json.loads(PINS.read_text())
+    got = {name: _chain_digest(chain, kept)
+           for name, chain, kept in _pinned_chains(catalog)}
+    assert got == expected
+
+
+def test_pinned_chains_are_schreier_complete(catalog):
+    assert sum(_assert_schreier_complete(chain)
+               for _, chain, _ in _pinned_chains(catalog)) > 0
