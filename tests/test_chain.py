@@ -13,7 +13,8 @@ from fitlen.construct import hall_chain
 from fitlen.errors import ContainmentError, DegreeMismatchError
 from fitlen.group import PermGroup, factorize
 from fitlen.perms import Permutation, parse_cycles
-from fitlen.series import derived_series, lower_nilpotent_series
+from fitlen.series import (derived_series, lower_central_series,
+                           lower_nilpotent_series)
 
 from conftest import brute_force_elements
 
@@ -194,10 +195,14 @@ def _pinned_chains(catalog):
     for name in ("ex33", "w4big"):
         cg = catalog[name]
         system = {p: [g.images for g in cg.system[p]] for p in cg.primes}
-        for series in (derived_series(cg.group),
-                       lower_nilpotent_series(cg.group, system_gens=system)):
+        for label, series in (
+                ("derived", derived_series(cg.group)),
+                ("lower_central", lower_central_series(cg.group)),
+                ("lower_nilpotent",
+                 lower_nilpotent_series(cg.group, system_gens=system)),
+                ("lower_nilpotent_unseeded", lower_nilpotent_series(cg.group))):
             for i, T in enumerate(series.terms):
-                yield ("%s/%s/%d" % (series.kind, name, i), T.chain,
+                yield ("%s/%s/%d" % (label, name, i), T.chain,
                        [g.images for g in T.generators])
     cg = catalog["ex33"]
     for size in range(1, cg.num_primes + 1):

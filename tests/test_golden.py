@@ -21,7 +21,14 @@ CASES = {
     "build_w2w35": ("build", EX32A),
     "fitting_w2w35": ("fitting", EX32A),
     "check_w2w35": ("check", EX32A),
+    "hall_w2w35_s23": ("hall", EX32A, "--sigma", "2,3"),
+    "frak_w2w35_size2": ("frak", EX32A, "--size", "2"),
+    "covers_w2w35": ("covers", EX32A),
     "example_3.3": ("example", "3.3"),
+    # the two arithmetic-only paths: a family beyond its group-level
+    # scale, and the four-prime example that has no group at all
+    "example_3.2a_ell2": ("example", "3.2a", "--ell", "2"),
+    "example_3.5-arith": ("example", "3.5-arith"),
     # the only command that runs the oracle: README's trifactorization
     # instance, and a triple product whose hypothesis holds
     "conjecture_trifactor_w32": (
