@@ -269,8 +269,7 @@ def _fmt_set(sigma: Iterable[int]) -> str:
 
 
 def check_all(cg: ConstructedGroup, t_max: Optional[int] = None,
-              limits: Limits = DEFAULT_LIMITS, parallel: int = 1,
-              include_two_factor: bool = True) -> BoundReport:
+              limits: Limits = DEFAULT_LIMITS) -> BoundReport:
     """Evaluate every applicable bound against the measured h(G).
 
     Hypothesis failures (too few primes, no covers of the requested
@@ -292,7 +291,7 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None,
         needed = [()]
         needed += [c for size in (1, 2, w - 2, w - 1, w)
                    for c in combinations(primes, size)]
-    profile = hall_profile(cg, needed, limits, parallel)
+    profile = hall_profile(cg, needed, limits)
     h_actual = profile.h(primes)
 
     entries: list[BoundEntry] = []
@@ -367,7 +366,7 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None,
             product_bound(s_val, r_val), h_actual))
 
     # two-Hall-factor bound over complementary splits
-    if include_two_factor and 2 <= w <= 4:
+    if 2 <= w <= 4:
         for size in range(1, w):
             for sigma in combinations(primes, size):
                 tau = tuple(r for r in primes if r not in sigma)

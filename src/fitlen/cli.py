@@ -142,7 +142,6 @@ def _head(doc: Document, command: str, args) -> None:
         doc.add("ell", args.ell)
     doc.add("max-degree", args.max_degree)
     doc.add("oracle-cap", args.oracle_cap)
-    doc.add("parallel", args.parallel)
 
 
 def _limits(args):
@@ -165,11 +164,10 @@ def _describe_group(doc: Document, cg) -> None:
 
 
 # -- subcommands ---------------------------------------------------------------
+# Each fills the document main() has headed and returns its exit code;
+# main() prints the document and the timings.
 
-def cmd_build(args) -> int:
-    timer = _Timer()
-    doc = Document()
-    _head(doc, "build", args)
+def cmd_build(args, doc: Document, timer: _Timer) -> int:
     cg = _build_from_args(args)
     timer.mark("build")
     _describe_group(doc, cg)
@@ -189,71 +187,51 @@ def cmd_build(args) -> int:
             doc.row("pair-join", "%d,%d" % (p, q), expected, chain.order(),
                     "ok" if chain.order() == expected else "FAIL")
     timer.mark("sylow-checks")
-    sys.stdout.write(doc.render(args.format))
-    timer.report()
     return OK
 
 
-def cmd_fitting(args) -> int:
-    timer = _Timer()
-    doc = Document()
-    _head(doc, "fitting", args)
+def cmd_fitting(args, doc: Document, timer: _Timer) -> int:
     cg = _build_from_args(args)
     timer.mark("build")
-    profile = hall_profile(cg, [cg.primes], _limits(args), args.parallel)
+    profile = hall_profile(cg, [cg.primes], _limits(args))
     doc.add("degree", cg.degree)
     doc.add("order", cg.order)
     doc.add("h", profile.h(cg.primes))
     timer.mark("fitting")
-    sys.stdout.write(doc.render(args.format))
-    timer.report()
     return OK
 
 
-def cmd_hall(args) -> int:
-    timer = _Timer()
-    doc = Document()
-    _head(doc, "hall", args)
+def cmd_hall(args, doc: Document, timer: _Timer) -> int:
     cg = _build_from_args(args)
     timer.mark("build")
     sigma = _parse_sigma(args.sigma)
     key = canonical_sigma(cg, sigma)
     sub = hall_subgroup(cg, sigma)
-    profile = hall_profile(cg, [sigma], _limits(args), args.parallel)
+    profile = hall_profile(cg, [sigma], _limits(args))
     doc.add("sigma", _sigma_text(sigma))
     doc.add("sigma-effective", _sigma_text(key))
     doc.add("hall-order", sub.order)
     doc.add("h", profile.h(sigma))
     timer.mark("hall")
-    sys.stdout.write(doc.render(args.format))
-    timer.report()
     return OK
 
 
-def cmd_frak(args) -> int:
-    timer = _Timer()
-    doc = Document()
-    _head(doc, "frak", args)
+def cmd_frak(args, doc: Document, timer: _Timer) -> int:
     size = args.size if args.size is not None else args.ell
     if size is None:
         raise UsageError("frak needs a subset size (--size N or --ell N)")
     cg = _build_from_args(args)
     timer.mark("build")
-    value = frak_h(cg, size, _limits(args), args.parallel)
+    value = frak_h(cg, size, _limits(args))
     doc.add("subset-size", size)
     doc.add("frak-h", value)
     timer.mark("frak")
-    sys.stdout.write(doc.render(args.format))
-    timer.report()
     return OK
 
 
-def cmd_covers(args) -> int:
+def cmd_covers(args, doc: Document, timer: _Timer) -> int:
     from .bounds import enumerate_covers
 
-    timer = _Timer()
-    doc = Document()
-    _head(doc, "covers", args)
     cg = _build_from_args(args)
     timer.mark("build")
     doc.add("primes", _sigma_text(cg.primes))
@@ -267,8 +245,6 @@ def cmd_covers(args) -> int:
             count += 1
     doc.add("covers", count)
     timer.mark("covers")
-    sys.stdout.write(doc.render(args.format))
-    timer.report()
     return OK
 
 
@@ -285,19 +261,13 @@ def _emit_bound_report(doc: Document, report) -> None:
     doc.add("overall", "pass" if report.overall_pass else "VIOLATION")
 
 
-def cmd_check(args) -> int:
-    timer = _Timer()
-    doc = Document()
-    _head(doc, "check", args)
+def cmd_check(args, doc: Document, timer: _Timer) -> int:
     cg = _build_from_args(args)
     timer.mark("build")
     _describe_group(doc, cg)
-    report = check_all(cg, t_max=args.t_max, limits=_limits(args),
-                       parallel=args.parallel)
+    report = check_all(cg, t_max=args.t_max, limits=_limits(args))
     timer.mark("check")
     _emit_bound_report(doc, report)
-    sys.stdout.write(doc.render(args.format))
-    timer.report()
     return OK if report.overall_pass else VIOLATION_EXIT
 
 
@@ -347,22 +317,15 @@ def _group_level_allowed(key: str, ell: int) -> bool:
     return ell == 1 and key in ("3.2a", "3.2b", "3.3", "3.4")
 
 
-def cmd_example(args) -> int:
-    timer = _Timer()
-    doc = Document()
-    _head(doc, "example", args)
+def cmd_example(args, doc: Document, timer: _Timer) -> int:
     key = args.family
     ell = args.ell if args.ell is not None else 1
     if ell < 1:
         raise UsageError("ell must be at least 1")
     doc.add("family", key)
     doc.add("ell-used", ell)
-    exit_code = OK
-
     if key == "3.5-arith":
         _example_35_arith(doc, ell)
-        sys.stdout.write(doc.render(args.format))
-        timer.report()
         return OK
 
     claims = _family_claims(key, ell)
@@ -371,8 +334,6 @@ def cmd_example(args) -> int:
         doc.note("group-level run not feasible at this scale; "
                  "claimed formulas instantiated and checked numerically")
         _example_arith_only(doc, key, ell, claims)
-        sys.stdout.write(doc.render(args.format))
-        timer.report()
         return OK
 
     doc.add("mode", "group")
@@ -384,33 +345,24 @@ def cmd_example(args) -> int:
     primes = cg.primes
     complements = {p: tuple(q for q in primes if q != p) for p in primes}
     subsets = [primes] + [complements[p] for p in primes]
-    profile = hall_profile(cg, subsets, _limits(args), args.parallel)
+    profile = hall_profile(cg, subsets, _limits(args))
     timer.mark("profile")
     measured = {"h": profile.h(primes)}
     for p in primes:
         measured["h'%d" % p] = profile.h(complements[p])
     measured["theta-2"] = sum(measured["h'%d" % p] for p in primes) - 2
 
+    mismatched = [n for n, want in claims.items() if measured[n] != want]
     doc.table(["quantity", "claimed", "measured", "status"])
-    mismatch = False
     for name, want in claims.items():
-        got = measured[name]
-        ok = got == want
-        mismatch = mismatch or not ok
-        doc.row(name, want, got, "ok" if ok else "MISMATCH")
-    if mismatch:
-        exit_code = VIOLATION_EXIT
-    report = check_all(cg, t_max=args.t_max, limits=_limits(args),
-                       parallel=args.parallel)
+        doc.row(name, want, measured[name],
+                "MISMATCH" if name in mismatched else "ok")
+    report = check_all(cg, t_max=args.t_max, limits=_limits(args))
     timer.mark("check")
     doc.add("bounds-overall", "pass" if report.overall_pass else "VIOLATION")
-    for e in report.entries:
-        if e.status == "VIOLATION":
-            doc.note("bound violation: %s %s" % (e.name, e.inputs))
-            exit_code = VIOLATION_EXIT
-    sys.stdout.write(doc.render(args.format))
-    timer.report()
-    return exit_code
+    for e in report.violations:
+        doc.note("bound violation: %s %s" % (e.name, e.inputs))
+    return VIOLATION_EXIT if mismatched or report.violations else OK
 
 
 def _example_arith_only(doc: Document, key: str, ell: int, claims) -> None:
@@ -455,10 +407,7 @@ def _example_35_arith(doc: Document, ell: int) -> None:
     doc.note("implied h'%d + h'%d = %d" % (_R, _S, rest))
 
 
-def cmd_conjecture(args) -> int:
-    timer = _Timer()
-    doc = Document()
-    _head(doc, "conjecture", args)
+def cmd_conjecture(args, doc: Document, timer: _Timer) -> int:
     cg = _build_from_args(args)
     timer.mark("build")
     T = enumerate_group(cg.group, _limits(args))
@@ -513,8 +462,6 @@ def cmd_conjecture(args) -> int:
             if rep.kegel_confirmed is not None:
                 doc.add("nilpotent-factors-imply-nilpotent", rep.kegel_confirmed)
     timer.mark("harness")
-    sys.stdout.write(doc.render(args.format))
-    timer.report()
     return OK
 
 
@@ -535,20 +482,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE)
 
 
-def _common_flags(sub) -> None:
-    sub.add_argument("--action", choices=[NATURAL, REGULAR], default=NATURAL,
-                     help="wreath action used by IT() and example families")
-    sub.add_argument("--ell", type=int, default=None,
-                     help="iteration depth for example families")
-    sub.add_argument("--max-degree", type=int,
-                     default=DEFAULT_LIMITS.max_degree)
-    sub.add_argument("--oracle-cap", type=int,
-                     default=DEFAULT_LIMITS.oracle_cap)
-    sub.add_argument("--parallel", type=int, default=1,
-                     help="worker threads for profile evaluation")
-    sub.add_argument("--format", choices=["table", "kv"], default="table")
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fitlen",
                      description="Fitting-length bounds toolkit for "
@@ -557,75 +490,66 @@ def make_parser() -> argparse.ArgumentParser:
                         version="fitlen %s" % __version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = subs.add_parser("build", help="build a group and check its Sylow system")
-    p.add_argument("expression")
-    _common_flags(p)
-    p.set_defaults(func=cmd_build)
+    def command(name, func, help, positional="expression", **kwargs):
+        p = subs.add_parser(name, help=help)
+        p.add_argument(positional, **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("fitting", help="Fitting length of a built group")
-    p.add_argument("expression")
-    _common_flags(p)
-    p.set_defaults(func=cmd_fitting)
-
-    p = subs.add_parser("hall", help="Hall subgroup data for a prime set")
-    p.add_argument("expression")
+    command("build", cmd_build, "build a group and check its Sylow system")
+    command("fitting", cmd_fitting, "Fitting length of a built group")
+    p = command("hall", cmd_hall, "Hall subgroup data for a prime set")
     p.add_argument("--sigma", required=True,
                    help="comma-separated primes, e.g. 2,3")
-    _common_flags(p)
-    p.set_defaults(func=cmd_hall)
-
-    p = subs.add_parser("frak", help="largest Hall Fitting length at one size")
-    p.add_argument("expression")
+    p = command("frak", cmd_frak, "largest Hall Fitting length at one size")
     p.add_argument("--size", type=int, default=None,
                    help="prime-subset size (--ell works as an alias)")
-    _common_flags(p)
-    p.set_defaults(func=cmd_frak)
-
-    p = subs.add_parser("covers", help="enumerate covers of the prime set")
-    p.add_argument("expression")
+    p = command("covers", cmd_covers, "enumerate covers of the prime set")
     p.add_argument("--t-max", type=int, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_covers)
-
-    p = subs.add_parser("check", help="evaluate every applicable bound")
-    p.add_argument("expression")
+    p = command("check", cmd_check, "evaluate every applicable bound")
     p.add_argument("--t-max", type=int, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_check)
-
-    p = subs.add_parser("example", help="reproduce a built-in example family")
-    p.add_argument("family",
-                   choices=["3.2a", "3.2b", "3.3", "3.4", "3.5-arith"])
+    p = command("example", cmd_example, "reproduce a built-in example family",
+                "family", choices=["3.2a", "3.2b", "3.3", "3.4", "3.5-arith"])
     p.add_argument("--t-max", type=int, default=None)
-    _common_flags(p)
-    p.set_defaults(func=cmd_example)
-
-    p = subs.add_parser("conjecture", help="trifactorization harness on a "
-                                           "tiny built group")
-    p.add_argument("expression")
+    p = command("conjecture", cmd_conjecture,
+                "trifactorization harness on a tiny built group")
     p.add_argument("--H", help="generators of H, cycle notation, ';'-separated")
     p.add_argument("--K", help="generators of K")
     p.add_argument("--L", help="generators of L")
     p.add_argument("--n1", help="generators of N1 (triple-product mode)")
     p.add_argument("--n2", help="generators of N2")
     p.add_argument("--n3", help="generators of N3")
-    _common_flags(p)
-    p.set_defaults(func=cmd_conjecture)
 
+    for p in subs.choices.values():
+        p.add_argument("--action", choices=[NATURAL, REGULAR], default=NATURAL,
+                       help="wreath action used by IT() and example families")
+        p.add_argument("--ell", type=int, default=None,
+                       help="iteration depth for example families")
+        p.add_argument("--max-degree", type=int,
+                       default=DEFAULT_LIMITS.max_degree)
+        p.add_argument("--oracle-cap", type=int,
+                       default=DEFAULT_LIMITS.oracle_cap)
+        p.add_argument("--format", choices=["table", "kv"], default="table")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: it fills the document, main prints it.
+
+    Nothing reaches stdout when the subcommand fails.
+    """
+    args = make_parser().parse_args(argv)
+    doc = Document()
+    timer = _Timer()
+    _head(doc, args.subcommand, args)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print("fitlen: %s" % exc, file=sys.stderr)
-        return USAGE
+        code = args.func(args, doc, timer)
     except FitlenError as exc:
         print("fitlen: %s" % exc, file=sys.stderr)
         return USAGE
+    sys.stdout.write(doc.render(args.format))
+    timer.report()
+    return code
 
 
 if __name__ == "__main__":

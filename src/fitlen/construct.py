@@ -15,7 +15,6 @@ contract, as is left association of iterated products.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -204,8 +203,6 @@ class ConstructedGroup:
     _hall_chain_cache: dict = field(default_factory=dict, repr=False)
     _h_cache: dict = field(default_factory=dict, repr=False)
     _d_cache: dict = field(default_factory=dict, repr=False)
-    _cache_lock: threading.RLock = field(default_factory=threading.RLock,
-                                         repr=False)
 
     @property
     def degree(self) -> int:
@@ -591,8 +588,7 @@ def hall_chain(cg: ConstructedGroup, sigma: tuple[int, ...]):
     from .chain import build_chain
 
     key = tuple(sorted(set(sigma) & set(cg.primes)))
-    with cg._cache_lock:
-        cached = cg._hall_chain_cache.get(key)
+    cached = cg._hall_chain_cache.get(key)
     if cached is not None:
         return cached
     if len(key) > 1:
@@ -612,10 +608,8 @@ def hall_chain(cg: ConstructedGroup, sigma: tuple[int, ...]):
             raise SylowSystemError(
                 "Sylow system corrupt: %r-part should be %d but the "
                 "generators give %d" % (key, expected, chain.order()))
-    result = (chain, [arrays[i] for i in kept])
-    with cg._cache_lock:
-        cg._hall_chain_cache.setdefault(key, result)
-        return cg._hall_chain_cache[key]
+    result = cg._hall_chain_cache[key] = (chain, [arrays[i] for i in kept])
+    return result
 
 
 def _verify_system(cg: ConstructedGroup) -> None:

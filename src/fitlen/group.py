@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,8 +45,7 @@ class PermGroup:
 
     Order, membership and prime data all come from the stabilizer
     chain, which is built on first use.  Instances are immutable once
-    the chain exists; the lazy build is lock-protected, so groups can
-    be shared between threads.
+    the chain exists.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -64,7 +62,6 @@ class PermGroup:
         self._known_order = known_order
         self._chain = _chain
         self._factored: Optional[dict[int, int]] = None
-        self._lock = threading.Lock()
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -79,14 +76,9 @@ class PermGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    chain, _ = build_chain(
-                        self.degree,
-                        [g.images for g in self.generators],
-                        target_order=self._known_order,
-                    )
-                    self._chain = chain
+            self._chain, _ = build_chain(
+                self.degree, [g.images for g in self.generators],
+                target_order=self._known_order)
         return self._chain
 
     @property

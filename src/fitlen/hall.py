@@ -10,7 +10,6 @@ for tiny groups lives in the oracle module.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -71,52 +70,34 @@ class HallProfile:
 
 def _profile_entry(cg: ConstructedGroup, key: PrimeSet,
                    limits: Limits) -> int:
-    with cg._cache_lock:
-        if key in cg._h_cache:
-            return cg._h_cache[key]
-    # the Hall subgroup inherits the system members for its primes, which
-    # lets the first nilpotent residual come from one normal closure
-    sub_system = {p: [g.images for g in cg.system[p]] for p in key}
-    value = fitting_length(hall_subgroup(cg, key), limits,
-                           system_gens=sub_system)
-    with cg._cache_lock:
-        cg._h_cache.setdefault(key, value)
-        return cg._h_cache[key]
+    if key not in cg._h_cache:
+        # the Hall subgroup inherits the system members for its primes, which
+        # lets the first nilpotent residual come from one normal closure
+        sub_system = {p: [g.images for g in cg.system[p]] for p in key}
+        cg._h_cache[key] = fitting_length(hall_subgroup(cg, key), limits,
+                                          system_gens=sub_system)
+    return cg._h_cache[key]
 
 
 def hall_profile(cg: ConstructedGroup, subsets: Sequence[Iterable[int]],
-                 limits: Limits = DEFAULT_LIMITS,
-                 parallel: int = 1) -> HallProfile:
+                 limits: Limits = DEFAULT_LIMITS) -> HallProfile:
     """h(G_sigma) for each requested sigma, cached per canonical key."""
-    keys = []
-    seen = set()
-    for sigma in subsets:
-        key = canonical_sigma(cg, sigma)
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
-    if parallel > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            list(pool.map(lambda k: _profile_entry(cg, k, limits), keys))
-    values = {key: _profile_entry(cg, key, limits) for key in keys}
-    return HallProfile(cg.primes, values)
+    keys = dict.fromkeys(canonical_sigma(cg, sigma) for sigma in subsets)
+    return HallProfile(cg.primes,
+                       {key: _profile_entry(cg, key, limits) for key in keys})
 
 
 def hall_derived_length(cg: ConstructedGroup, sigma: Iterable[int],
                         limits: Limits = DEFAULT_LIMITS) -> int:
     """d(G_sigma), cached like the Fitting-length profile."""
     key = canonical_sigma(cg, sigma)
-    with cg._cache_lock:
-        if key in cg._d_cache:
-            return cg._d_cache[key]
-    value = derived_length(hall_subgroup(cg, key), limits)
-    with cg._cache_lock:
-        cg._d_cache.setdefault(key, value)
-        return cg._d_cache[key]
+    if key not in cg._d_cache:
+        cg._d_cache[key] = derived_length(hall_subgroup(cg, key), limits)
+    return cg._d_cache[key]
 
 
 def frak_h(cg: ConstructedGroup, ell: int,
-           limits: Limits = DEFAULT_LIMITS, parallel: int = 1) -> int:
+           limits: Limits = DEFAULT_LIMITS) -> int:
     """Largest h(G_sigma) over the prime sets of the given size."""
     w = cg.num_primes
     if not 0 <= ell <= w:
@@ -126,7 +107,7 @@ def frak_h(cg: ConstructedGroup, ell: int,
     from itertools import combinations
 
     subsets = list(combinations(cg.primes, ell))
-    profile = hall_profile(cg, subsets, limits, parallel)
+    profile = hall_profile(cg, subsets, limits)
     return max(profile.h(sigma) for sigma in subsets)
 
 

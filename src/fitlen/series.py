@@ -30,7 +30,7 @@ Implementation notes, since the large examples live or die here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +64,7 @@ def _commutators(left: Sequence[np.ndarray], right: Sequence[np.ndarray]):
             yield t[x[t_inv[x_inv]]]
 
 
-def _closure(degree: int, seeds: Sequence[np.ndarray],
+def _closure(degree: int, seeds: Iterable[np.ndarray],
              conjugators: Sequence[np.ndarray]):
     """Normal closure of the seeds under the conjugators.
 
@@ -147,16 +147,38 @@ def _commutator_step(degree: int, left_normal_gens: Sequence[np.ndarray],
     Valid whenever the conjugators generate a group G that normalizes
     both arguments and the result; [x^g, t] = [x, t^(g^-1)]^g keeps the
     G-closure of the pairwise commutators equal to the full commutator
-    subgroup.
+    subgroup.  Repeated commutators are skipped by the closure.
     """
-    seeds = []
-    seen = set()
-    for c in _commutators(left_normal_gens, right_gens):
-        key = c.tobytes()
-        if key not in seen:
-            seen.add(key)
-            seeds.append(c)
-    return _closure(degree, seeds, conjugators)
+    return _closure(degree, _commutators(left_normal_gens, right_gens),
+                    conjugators)
+
+
+def _descend(start, step, limits: Limits, what: str):
+    """Apply step from start until the group stops shrinking.
+
+    start and every step result are (term, witness) pairs, the witness
+    being normal generators of the term for the next step to start from.
+    Returns the strictly descending terms and the last term's witness.
+    A trivial term ends the series without a further step; a series
+    longer than series_step_limit terms marks the input as not soluble.
+    """
+    term, witness = start
+    terms = [term]
+    while term.order > 1:
+        nxt, nxt_witness = step(term, witness)
+        if nxt.order == term.order:
+            break
+        term, witness = nxt, nxt_witness
+        terms.append(term)
+        if len(terms) > limits.series_step_limit:
+            raise NotSolubleError("%s exceeded step limit" % what)
+    return terms, witness
+
+
+def _stops_at_one(terms: list[PermGroup], what: str) -> tuple[PermGroup, ...]:
+    if terms[-1].order > 1:
+        raise NotSolubleError("%s stabilized at order %d" % (what, terms[-1].order))
+    return tuple(terms)
 
 
 # -- derived series ---------------------------------------------------------
@@ -164,22 +186,11 @@ def _commutator_step(degree: int, left_normal_gens: Sequence[np.ndarray],
 def derived_series(G: PermGroup,
                    limits: Limits = DEFAULT_LIMITS) -> SubgroupSeries:
     conj = _gen_arrays(G)
-    terms = [G]
-    current = G
-    normal_gens = conj
-    while current.order > 1:
-        nxt, kept_seeds = _commutator_step(
-            G.degree, normal_gens, _gen_arrays(current), conj)
-        if nxt.order == current.order:
-            raise NotSolubleError(
-                "derived series stabilized at order %d" % current.order
-            )
-        terms.append(nxt)
-        current = nxt
-        normal_gens = kept_seeds if kept_seeds else _gen_arrays(current)
-        if len(terms) > limits.series_step_limit:
-            raise NotSolubleError("derived series exceeded step limit")
-    return SubgroupSeries("derived", tuple(terms))
+    terms, _ = _descend(
+        (G, conj),
+        lambda T, x: _commutator_step(G.degree, x, _gen_arrays(T), conj),
+        limits, "derived series")
+    return SubgroupSeries("derived", _stops_at_one(terms, "derived series"))
 
 
 def derived_length(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> int:
@@ -188,10 +199,8 @@ def derived_length(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> int:
 
 # -- lower central series and the nilpotent residual ------------------------
 
-def _residual_with_gens(N: PermGroup, normal_gens: Optional[Sequence[np.ndarray]],
-                        conj: Sequence[np.ndarray],
-                        limits: Limits):
-    """Nilpotent residual of N plus normal generators witnessing it.
+def _central_step(N: PermGroup, conj: Sequence[np.ndarray]):
+    """The step L -> [L, N] of N's lower central series.
 
     conj must generate a group in which N and every term of its lower
     central series is normal; N's own generators always qualify, and so
@@ -199,18 +208,7 @@ def _residual_with_gens(N: PermGroup, normal_gens: Optional[Sequence[np.ndarray]
     series.
     """
     right = _gen_arrays(N)
-    current = N
-    x = list(normal_gens) if normal_gens is not None else right
-    steps = 0
-    while True:
-        nxt, kept_seeds = _commutator_step(N.degree, x, right, conj)
-        if nxt.order == current.order:
-            return current, x
-        current = nxt
-        x = kept_seeds
-        steps += 1
-        if steps > limits.series_step_limit:
-            raise NotSolubleError("lower central series exceeded step limit")
+    return lambda L, x: _commutator_step(N.degree, x, right, conj)
 
 
 def lower_central_series(H: PermGroup,
@@ -220,19 +218,8 @@ def lower_central_series(H: PermGroup,
     The last term is the nilpotent residual of H.
     """
     conj = _gen_arrays(H)
-    right = conj
-    terms = [H]
-    current = H
-    x = conj
-    while True:
-        nxt, kept_seeds = _commutator_step(H.degree, x, right, conj)
-        if nxt.order == current.order:
-            break
-        terms.append(nxt)
-        current = nxt
-        x = kept_seeds
-        if len(terms) > limits.series_step_limit:
-            raise NotSolubleError("lower central series exceeded step limit")
+    terms, _ = _descend((H, conj), _central_step(H, conj), limits,
+                        "lower central series")
     return SubgroupSeries("lower_central", tuple(terms))
 
 
@@ -275,28 +262,17 @@ def lower_nilpotent_series(G: PermGroup,
     system and always use the iteration.
     """
     conj = _gen_arrays(G)
-    terms = [G]
-    current = G
-    normal_gens: Optional[Sequence[np.ndarray]] = None
-    first = True
-    while current.order > 1:
-        if first and system_gens is not None:
-            seeds = _system_residual_seeds(system_gens)
-            nxt, kept_seeds = _closure(G.degree, seeds, conj)
-            witness = kept_seeds
-        else:
-            nxt, witness = _residual_with_gens(current, normal_gens, conj, limits)
-        first = False
-        if nxt.order == current.order:
-            raise NotSolubleError(
-                "nilpotent residual stabilized at order %d" % current.order
-            )
-        terms.append(nxt)
-        current = nxt
-        normal_gens = witness
-        if len(terms) > limits.series_step_limit:
-            raise NotSolubleError("lower nilpotent series exceeded step limit")
-    return SubgroupSeries("lower_nilpotent", tuple(terms))
+
+    def residual(N: PermGroup, x):
+        if N is G and system_gens is not None:
+            return _closure(G.degree, _system_residual_seeds(system_gens), conj)
+        terms, witness = _descend((N, x), _central_step(N, conj), limits,
+                                  "lower central series")
+        return terms[-1], witness
+
+    terms, _ = _descend((G, conj), residual, limits, "lower nilpotent series")
+    return SubgroupSeries("lower_nilpotent",
+                          _stops_at_one(terms, "lower nilpotent series"))
 
 
 def fitting_length(G: PermGroup, limits: Limits = DEFAULT_LIMITS,

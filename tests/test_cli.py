@@ -161,13 +161,26 @@ def test_conjecture_s3_instance():
     assert "hypothesis-met" in out
 
 
-def test_parallel_output_identical():
-    args = ["check", "D(D(C(2,1),C(3,1)),C(5,1))", "--format", "kv"]
-    _, serial, _ = run_cli(*args)
-    _, parallel, _ = run_cli(*args, "--parallel", "4")
-    serial = serial.replace("parallel = 1", "parallel = N")
-    parallel = parallel.replace("parallel = 4", "parallel = N")
-    assert serial == parallel
+def test_example_claim_mismatch_exits_2(monkeypatch, capsys):
+    from fitlen import cli
+
+    claims = cli._family_claims
+    monkeypatch.setattr(cli, "_family_claims",
+                        lambda key, ell: dict(claims(key, ell), h=99))
+    code = main(["example", "3.2b", "--format", "kv"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "entry.1.status = MISMATCH" in out
+    assert "entry.2.status = ok" in out
+    assert "bounds-overall = pass" in out
+
+
+def test_parallel_flag_is_a_usage_error():
+    code, out, err = run_cli("check", "D(D(C(2,1),C(3,1)),C(5,1))",
+                             "--parallel", "2")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --parallel 2" in err
 
 
 def test_timings_go_to_stderr_only():

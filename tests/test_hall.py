@@ -88,16 +88,6 @@ def test_profile_cache_shared(ex32a):
     assert (2, 3) in ex32a._h_cache
 
 
-def test_profile_parallel_matches_serial(catalog):
-    cg = catalog["d840"]
-    subsets = [c for size in range(cg.num_primes + 1)
-               for c in itertools.combinations(cg.primes, size)]
-    serial = hall_profile(cg, subsets, parallel=1)
-    cg._h_cache.clear()
-    parallel = hall_profile(cg, subsets, parallel=4)
-    assert serial.values == parallel.values
-
-
 def test_frak_values(ex32a):
     assert frak_h(ex32a, 0) == 0
     assert frak_h(ex32a, 1) == 1

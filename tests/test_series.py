@@ -7,6 +7,7 @@ tiny groups involved; see test_oracle for the systematic sweeps.
 
 import pytest
 
+from fitlen.config import Limits
 from fitlen.errors import ContainmentError, NotSolubleError
 from fitlen.group import PermGroup
 from fitlen.perms import Permutation, parse_cycles
@@ -129,6 +130,20 @@ def test_not_soluble_raises():
         derived_length(a5)
     with pytest.raises(NotSolubleError):
         fitting_length(a5)
+
+
+def test_series_step_limit_raises(s4):
+    # S4 > A4 > V4 > 1 is both the derived and the lower nilpotent series
+    # of S4; D8 > C2 > 1 is the lower central series of the dihedral group
+    # of order 8.  Each is allowed exactly as many terms as it has.
+    d8 = PermGroup(4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)", 4)])
+    for series, group in ((derived_series, s4), (lower_central_series, d8),
+                          (lower_nilpotent_series, s4)):
+        terms = len(series(group).terms)
+        assert terms == (3 if group is d8 else 4)
+        assert len(series(group, Limits(series_step_limit=terms)).terms) == terms
+        with pytest.raises(NotSolubleError, match="step limit"):
+            series(group, Limits(series_step_limit=terms - 1))
 
 
 def test_system_seeded_residual_matches_generic(catalog):
