@@ -8,12 +8,11 @@ makes adding one generator to an already verified chain cheap; normal
 closures lean on that heavily.
 
 A chain is complete when every Schreier generator sifts to the
-identity.  The product of orbit lengths of a partially verified chain
-never exceeds the true group order, so when the caller supplies the
-exact order up front (`target_order`) the builder may stop as soon as
-the product reaches it.  That shortcut is only sound when the supplied
-order is exact; callers that need to *measure* an order must not pass
-one.
+identity.  A chain of a group given by a polycyclic sequence is
+instead certified (`certified_chain`; Sims, "Computing the order of a
+solvable permutation group", J. Symbolic Comput. 9, 1990; Seress,
+*Permutation Group Algorithms*, ch. 7), which proves its order without
+sifting a single Schreier generator.
 
 Verification scans levels deepest first, and finishes every level
 below L before it scans level L.  That order makes one kind of pair
@@ -28,7 +27,7 @@ chain's identity image.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,10 +61,9 @@ class StabilizerChain:
     finished chain as read-only.
     """
 
-    def __init__(self, degree: int, target_order: Optional[int] = None):
+    def __init__(self, degree: int):
         self.degree = degree
         self.levels: list[_Level] = []
-        self.target_order = target_order
         self.complete = True  # empty chain is the trivial group
         self._base = np.empty(0, dtype=np.intp)
         self._ident = _arange(degree).tobytes()
@@ -123,28 +121,19 @@ class StabilizerChain:
 
     # -- construction ----------------------------------------------------
 
-    def add_generator(self, arr: np.ndarray, verify: bool = True) -> bool:
-        """Extend the chain by one generator.
+    def add_generator(self, arr: np.ndarray) -> bool:
+        """Extend the chain by one generator and verify it.
 
         Returns True when the generator was not already sifted to the
-        identity.  With verify=False the chain is left unverified (a
-        residue sifting to the identity still proves membership, so a
-        True return may occasionally be a redundant insertion); callers
-        batching many insertions should call verify() once at the end.
+        identity.
         """
         residue, stuck = self.sift(arr)
         if residue is None:
             return False
         self.complete = False
         self._insert(residue, 0, stuck)
-        if verify:
-            self._verify()
+        self._verify()
         return True
-
-    def verify(self) -> None:
-        """Re-establish completeness after unverified insertions."""
-        if not self.complete:
-            self._verify()
 
     def extend(self, arrays: Iterable[np.ndarray]) -> list[int]:
         """Add several generators; returns indices of those that grew the group."""
@@ -195,13 +184,7 @@ class StabilizerChain:
                 proc[i] = ngens
             i += 1
 
-    def _target_reached(self) -> bool:
-        return self.target_order is not None and self.order() == self.target_order
-
     def _verify(self) -> None:
-        if self._target_reached():
-            self.complete = True
-            return
         ident = self._ident
         levels = self.levels
         i = len(levels) - 1
@@ -241,37 +224,97 @@ class StabilizerChain:
                 i -= 1
                 continue
             self._insert(residue, i + 1, stuck)
-            if self._target_reached():
-                self.complete = True
-                return
             i = stuck
         self.complete = True
 
 
-def build_chain(degree: int, arrays: Iterable[np.ndarray],
-                target_order: Optional[int] = None,
-                batch: bool = False) -> tuple[StabilizerChain, list[int]]:
+def build_chain(degree: int, arrays: Iterable[np.ndarray]
+                ) -> tuple[StabilizerChain, list[int]]:
     """Build a verified chain; also reports which inputs mattered.
 
     The second return value lists the indices of the generators that
     were not sifted to the identity, in processing order; the others
-    are certainly redundant.  With batch=True verification runs once at
-    the end instead of after every insertion, which is faster for long
-    generator lists but may leave a few redundant indices in the kept
-    list.
+    are certainly redundant.
     """
-    chain = StabilizerChain(degree, target_order)
-    if batch:
-        kept = []
-        for i, arr in enumerate(arrays):
-            if chain.add_generator(arr, verify=False):
-                kept.append(i)
-        chain.verify()
-    else:
-        kept = chain.extend(arrays)
-    if target_order is not None and chain.order() != target_order:
-        raise SylowSystemError(
-            "expected order %d but generators produce order %d"
-            % (target_order, chain.order())
-        )
-    return chain, kept
+    chain = StabilizerChain(degree)
+    return chain, chain.extend(arrays)
+
+
+def _power(arr: np.ndarray, e: int) -> np.ndarray:
+    out = _arange(arr.size)
+    while e:
+        if e & 1:
+            out = arr[out]
+        arr = arr[arr]
+        e >>= 1
+    return out
+
+
+def _prime_of(q: int) -> int:
+    """The prime p with q = p^k for some k >= 1."""
+    p = next((f for f in range(2, q + 1) if q % f == 0), q)
+    e = p
+    while e < q:
+        e *= p
+    if q < 2 or e != q:
+        raise SylowSystemError("relative order %d is not a prime power" % q)
+    return p
+
+
+def certified_chain(degree: int, pcgs: Sequence[tuple[int, np.ndarray]]
+                    ) -> StabilizerChain:
+    """Complete chain of the group a polycyclic sequence generates.
+
+    pcgs lists (q, g) pairs bottom-up, q = p^k with p prime.  Let H be
+    the group of the elements before g, whose chain is complete.  The
+    certificate checks, with sifts into that chain, that g normalises
+    H (conjugating only the elements whose support meets g's, since
+    disjoint permutations commute) and that g^q lies in H.  It then
+    inserts the residues of g^(q/p), ..., g^p, g in turn; none may sift
+    into the chain, and each must multiply the orbit product by exactly
+    p.  Each step then raises the group order p-fold too, and an orbit
+    product equal to the group order makes a chain complete, so the
+    result's order is proved.  Any failed check raises
+    SylowSystemError.  A residue is stored on every level down to the
+    first base point it moves, as in Schreier-Sims, but only that
+    level's orbit is extended.
+    """
+    chain = StabilizerChain(degree)
+    if not pcgs:
+        return chain
+    arrays = [g for _, g in pcgs]
+    support = np.stack(arrays) != _arange(degree)
+    for i, (q, g) in enumerate(pcgs):
+        p = _prime_of(q)
+        g_inv = invert_array(g)
+        for j in np.flatnonzero((support[:i] & support[i]).any(axis=1)):
+            x = arrays[j]
+            conj = g[x[g_inv]]
+            if conj.tobytes() != x.tobytes() and chain.sift(conj)[0] is not None:
+                raise SylowSystemError(
+                    "pcgs element %d does not normalise the group of the "
+                    "elements before it" % i)
+        powers, e = [g], 1  # g, g^p, ..., g^q
+        while e < q:
+            powers.append(_power(powers[-1], p))
+            e *= p
+        if chain.sift(powers.pop())[0] is not None:
+            raise SylowSystemError(
+                "pcgs element %d: its %d-th power lies outside the group of "
+                "the elements before it" % (i, q))
+        for x in reversed(powers):
+            before = chain.order()
+            residue, stuck = chain.sift(x)
+            if residue is not None:
+                chain._insert(residue, stuck, stuck)
+                # H is normal in <H, x>, so H's orbit at a level above
+                # stuck is a block that the residue, fixing its base
+                # point, maps to itself: those orbits cannot grow
+                for lv in chain.levels[:stuck]:
+                    lv.gens.append(residue)
+                    lv.vscan = 0
+            if chain.order() != p * before:
+                raise SylowSystemError(
+                    "pcgs element %d does not raise the order %d-fold"
+                    % (i, p))
+    return chain

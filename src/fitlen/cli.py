@@ -4,8 +4,10 @@ Subcommands build groups from the expression language, compute the
 invariants, reproduce the built-in example families, and emit bound
 reports.  Output on stdout is deterministic: identical arguments and
 tool version produce byte-identical documents (phase timings go to
-stderr).  Exit codes: 0 success, 1 usage error, 2 bound violation or
-claim mismatch.
+stderr).  Exit codes: 0 success, 1 usage error, 2 bound violation,
+claim mismatch or failed Sylow-system certificate, each of which is an
+implementation bug since the bounds are theorems.  A failed
+certificate leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .bounds import check_all
 from .config import DEFAULT_LIMITS
 from .construct import (NATURAL, REGULAR, Cyclic, Direct, Iterated, Wreath,
                         build, expr_to_text, parse_expr)
-from .errors import FitlenError, UsageError
-from .group import p_part
-from .hall import canonical_sigma, frak_h, hall_profile, hall_subgroup
+from .errors import FitlenError, SylowSystemError, UsageError
+from .hall import (canonical_sigma, frak_h, hall_profile, hall_subgroup,
+                   verify_sylow_system)
 from .oracle import (check_nilpotent_triple_product, check_trifactorization,
                      enumerate_group)
 from .perms import parse_cycles
@@ -171,21 +173,13 @@ def cmd_build(args, doc: Document, timer: _Timer) -> int:
     cg = _build_from_args(args)
     timer.mark("build")
     _describe_group(doc, cg)
-    factored = cg.group.factored_order
+    report = verify_sylow_system(cg)
     doc.table(["check", "primes", "expected", "actual", "status"])
-    from .construct import hall_chain
-    primes = cg.primes
-    for p in primes:
-        chain, _ = hall_chain(cg, (p,))
-        expected = p_part(factored, (p,))
-        doc.row("sylow-order", p, expected, chain.order(),
-                "ok" if chain.order() == expected else "FAIL")
-    for i, p in enumerate(primes):
-        for q in primes[i + 1:]:
-            chain, _ = hall_chain(cg, (p, q))
-            expected = p_part(factored, (p, q))
-            doc.row("pair-join", "%d,%d" % (p, q), expected, chain.order(),
-                    "ok" if chain.order() == expected else "FAIL")
+    for label, checks in (("sylow-order", report.prime_checks),
+                          ("pair-join", report.pair_checks)):
+        for c in checks:
+            doc.row(label, _sigma_text(c.primes), c.expected, c.actual,
+                    "ok" if c.ok else "FAIL")
     timer.mark("sylow-checks")
     return OK
 
@@ -546,7 +540,7 @@ def main(argv=None) -> int:
         code = args.func(args, doc, timer)
     except FitlenError as exc:
         print("fitlen: %s" % exc, file=sys.stderr)
-        return USAGE
+        return VIOLATION_EXIT if isinstance(exc, SylowSystemError) else USAGE
     sys.stdout.write(doc.render(args.format))
     timer.report()
     return code

@@ -2,10 +2,11 @@
 
 Groups are assembled from cyclic and elementary-abelian leaves by
 direct products, wreath products and iterated wreath powers.  Every
-builder propagates a Sylow system: for each prime, a generator list
-whose closure is a full Sylow subgroup, pairwise permutable with the
-others.  Hall subgroups then come straight from generator unions, with
-orders checked against the corresponding part of the group order.
+builder propagates a polycyclic generating sequence (pcgs) with prime
+relative orders.  Its filter for one prime is that prime's member of a
+Sylow system, and its filter for a prime set sigma generates a Hall
+sigma-subgroup whose chain is certified from the filter itself
+(`hall_chain`), so every Hall order is proved, never assumed.
 
 Point layout of a wreath product A wr B with d top points: coordinate
 i of A occupies points [i*deg(A), (i+1)*deg(A)); top generators permute
@@ -15,6 +16,7 @@ contract, as is left association of iterated products.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -22,7 +24,8 @@ import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DegreeBudgetError, SylowSystemError, UsageError
-from .group import PermGroup, p_part
+from .chain import certified_chain
+from .group import PermGroup
 from .perms import Permutation, _arange, compose_arrays
 
 NATURAL = "natural"
@@ -188,25 +191,44 @@ def expr_to_text(expr: GroupExpr) -> str:
 
 @dataclass
 class ConstructedGroup:
-    """A permutation group together with its construction and Sylow system.
+    """A permutation group together with its construction and a pcgs.
 
-    system_checked records whether the per-prime and per-pair order
-    checks ran at build time; Hall-chain construction only takes the
-    known-order shortcut for checked systems and measures ad-hoc ones
-    exactly.
+    pcgs lists (relative order, element) pairs in construction order:
+    the relative order is a prime, except for a C(p,k) leaf generator,
+    whose relative order is p^k.  Creation checks the sequence against
+    the group, whose chain is built exactly from its generators: every
+    element must lie in the group, and the relative orders must
+    multiply to its order.
     """
 
     group: PermGroup
     expr: Optional[GroupExpr]
-    system: dict[int, tuple[Permutation, ...]]
-    system_checked: bool = False
+    pcgs: tuple[tuple[int, Permutation], ...]
     _hall_chain_cache: dict = field(default_factory=dict, repr=False)
     _h_cache: dict = field(default_factory=dict, repr=False)
     _d_cache: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        chain = self.group.chain
+        for i, (_, g) in enumerate(self.pcgs):
+            if g.degree != self.degree or chain.sift(g.images)[0] is not None:
+                raise SylowSystemError(
+                    "pcgs element %d is not an element of the group" % i)
+        claimed = math.prod(q for q, _ in self.pcgs)
+        if claimed != chain.order():
+            raise SylowSystemError(
+                "pcgs relative orders multiply to %d but the group has "
+                "order %d" % (claimed, chain.order()))
+
     @property
     def degree(self) -> int:
         return self.group.degree
+
+    @property
+    def system(self) -> dict[int, tuple[Permutation, ...]]:
+        """The Sylow system: for each prime p, the p-filter of the pcgs."""
+        return {p: tuple(g for q, g in self.pcgs if q % p == 0)
+                for p in self.primes}
 
     @property
     def order(self) -> int:
@@ -225,7 +247,7 @@ class ConstructedGroup:
 
 
 def trivial_constructed(degree: int = 1) -> ConstructedGroup:
-    return ConstructedGroup(PermGroup.trivial(degree), None, {})
+    return ConstructedGroup(PermGroup.trivial(degree), None, ())
 
 
 # -- leaf builders --------------------------------------------------------
@@ -238,10 +260,7 @@ def cyclic(p: int, k: int = 1, limits: Limits = DEFAULT_LIMITS) -> ConstructedGr
             "cyclic leaf needs degree %d > budget %d" % (n, limits.max_degree), n)
     images = np.roll(np.arange(n, dtype=np.intp), -1)
     gen = Permutation(images)
-    group = PermGroup(n, (gen,), known_order=n)
-    cg = ConstructedGroup(group, Cyclic(p, k), {p: (gen,)})
-    _verify_system(cg)
-    return cg
+    return ConstructedGroup(PermGroup(n, (gen,)), Cyclic(p, k), ((n, gen),))
 
 
 def elem_abelian(p: int, k: int, limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
@@ -256,10 +275,8 @@ def elem_abelian(p: int, k: int, limits: Limits = DEFAULT_LIMITS) -> Constructed
         arr = np.arange(n, dtype=np.intp)
         arr[i * p:(i + 1) * p] = np.roll(np.arange(i * p, (i + 1) * p), -1)
         gens.append(Permutation(arr))
-    group = PermGroup(n, tuple(gens), known_order=p ** k)
-    cg = ConstructedGroup(group, ElemAbelian(p, k), {p: tuple(gens)})
-    _verify_system(cg)
-    return cg
+    return ConstructedGroup(PermGroup(n, tuple(gens)), ElemAbelian(p, k),
+                            tuple((p, g) for g in gens))
 
 
 # -- combinators ----------------------------------------------------------
@@ -280,21 +297,13 @@ def direct_product(A: ConstructedGroup, B: ConstructedGroup,
             for g in A.group.generators]
     gens += [Permutation(_shift(g.images, A.degree, n), _checked=False)
              for g in B.group.generators]
-    order = A.order * B.order
-    group = PermGroup(n, tuple(gens), known_order=order)
-    system: dict[int, tuple[Permutation, ...]] = {}
-    for p in sorted(set(A.system) | set(B.system)):
-        entry = [Permutation(_shift(g.images, 0, n))
-                 for g in A.system.get(p, ())]
-        entry += [Permutation(_shift(g.images, A.degree, n))
-                  for g in B.system.get(p, ())]
-        system[p] = tuple(entry)
+    pcgs = [(q, Permutation(_shift(g.images, 0, n))) for q, g in A.pcgs]
+    pcgs += [(q, Permutation(_shift(g.images, A.degree, n)))
+             for q, g in B.pcgs]
     expr = None
     if A.expr is not None and B.expr is not None:
         expr = Direct(A.expr, B.expr)
-    cg = ConstructedGroup(group, expr, system)
-    _verify_system(cg)
-    return cg
+    return ConstructedGroup(PermGroup(n, tuple(gens)), expr, tuple(pcgs))
 
 
 def _enumerate_elements(B: ConstructedGroup) -> tuple[list[np.ndarray], dict[bytes, int]]:
@@ -376,19 +385,15 @@ def wreath_product(A: ConstructedGroup, B: ConstructedGroup,
 
     if action == NATURAL:
         top_gen_blocks = [g.images for g in B.group.generators]
-        top_sylow_blocks = {
-            p: [g.images for g in gens] for p, gens in B.system.items()
-        }
+        top_pcgs_blocks = [(q, g.images) for q, g in B.pcgs]
     else:
         elems, index = _enumerate_elements(B)
         top_gen_blocks = [
             _right_translation(elems, index, g.images)
             for g in B.group.generators
         ]
-        top_sylow_blocks = {
-            p: [_right_translation(elems, index, g.images) for g in gens]
-            for p, gens in B.system.items()
-        }
+        top_pcgs_blocks = [(q, _right_translation(elems, index, g.images))
+                           for q, g in B.pcgs]
 
     reps = _block_orbit_reps(d, top_gen_blocks)
     gens: list[Permutation] = []
@@ -398,25 +403,15 @@ def wreath_product(A: ConstructedGroup, B: ConstructedGroup,
     for t in top_gen_blocks:
         gens.append(Permutation(_lift_block_perm(t, m), _checked=False))
 
-    order = A.order ** d * B.order
-    group = PermGroup(n, tuple(gens), known_order=order)
-
-    system: dict[int, tuple[Permutation, ...]] = {}
-    for p in sorted(set(A.system) | set(B.system)):
-        entry = []
-        for a in A.system.get(p, ()):
-            for block in range(d):
-                entry.append(Permutation(_embed(a.images, block, m, n)))
-        for t in top_sylow_blocks.get(p, []):
-            entry.append(Permutation(_lift_block_perm(t, m)))
-        system[p] = tuple(entry)
+    pcgs = [(q, Permutation(_embed(a.images, block, m, n)))
+            for q, a in A.pcgs for block in range(d)]
+    pcgs += [(q, Permutation(_lift_block_perm(t, m)))
+             for q, t in top_pcgs_blocks]
 
     expr = None
     if A.expr is not None and B.expr is not None:
         expr = Wreath(A.expr, B.expr, action)
-    cg = ConstructedGroup(group, expr, system)
-    _verify_system(cg)
-    return cg
+    return ConstructedGroup(PermGroup(n, tuple(gens)), expr, tuple(pcgs))
 
 
 def iterated(H: ConstructedGroup, times: int, action: str = NATURAL,
@@ -576,50 +571,22 @@ def parse_expr(text: str) -> GroupExpr:
     return node
 
 
-# -- Sylow system checks ---------------------------------------------------
+# -- Hall chains --------------------------------------------------------------
 
 def hall_chain(cg: ConstructedGroup, sigma: tuple[int, ...]):
-    """Verified chain for the Hall subgroup of the given prime set.
+    """Certified chain and generator list of the Hall sigma-subgroup.
 
-    Chains are cached per canonical sigma on the constructed group; the
-    order is checked against the sigma-part of |G| and a mismatch
-    raises SylowSystemError.
+    The chain is certified from the sigma-filter of the pcgs
+    (chain.certified_chain); the generator list is the Sylow lists for
+    sigma, concatenated.  Both are cached per canonical sigma on the
+    constructed group.  A failed certificate raises SylowSystemError.
     """
-    from .chain import build_chain
-
     key = tuple(sorted(set(sigma) & set(cg.primes)))
     cached = cg._hall_chain_cache.get(key)
-    if cached is not None:
-        return cached
-    if len(key) > 1:
-        # join the already-reduced Sylow generator lists
-        arrays = []
-        for p in key:
-            arrays.extend(hall_chain(cg, (p,))[1])
-    else:
-        arrays = [g.images for g in cg.system[key[0]]]
-    expected = p_part(cg.group.factored_order, key)
-    if cg.system_checked:
-        chain, kept = build_chain(cg.degree, arrays, target_order=expected,
-                                  batch=True)
-    else:
-        chain, kept = build_chain(cg.degree, arrays, batch=True)
-        if chain.order() != expected:
-            raise SylowSystemError(
-                "Sylow system corrupt: %r-part should be %d but the "
-                "generators give %d" % (key, expected, chain.order()))
-    result = cg._hall_chain_cache[key] = (chain, [arrays[i] for i in kept])
-    return result
-
-
-def _verify_system(cg: ConstructedGroup) -> None:
-    primes = cg.primes
-    if tuple(sorted(cg.system)) != primes:
-        raise SylowSystemError(
-            "system primes %r do not match group primes %r"
-            % (tuple(sorted(cg.system)), primes))
-    cg.system_checked = True
-    for i, p in enumerate(primes):
-        hall_chain(cg, (p,))
-        for q in primes[i + 1:]:
-            hall_chain(cg, (p, q))
+    if cached is None:
+        chain = certified_chain(
+            cg.degree, [(q, g.images) for q, g in cg.pcgs
+                        if any(q % p == 0 for p in key)])
+        gens = [g.images for p in key for q, g in cg.pcgs if q % p == 0]
+        cached = cg._hall_chain_cache[key] = (chain, gens)
+    return cached

@@ -49,7 +49,6 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 known_order: Optional[int] = None,
                  _chain: Optional[StabilizerChain] = None):
         for g in generators:
             if g.degree != degree:
@@ -59,7 +58,6 @@ class PermGroup:
                 )
         self.degree = degree
         self.generators = tuple(generators)
-        self._known_order = known_order
         self._chain = _chain
         self._factored: Optional[dict[int, int]] = None
 
@@ -77,8 +75,7 @@ class PermGroup:
     def chain(self) -> StabilizerChain:
         if self._chain is None:
             self._chain, _ = build_chain(
-                self.degree, [g.images for g in self.generators],
-                target_order=self._known_order)
+                self.degree, [g.images for g in self.generators])
         return self._chain
 
     @property
@@ -129,11 +126,12 @@ class PermGroup:
     def reduced(self) -> "PermGroup":
         """An equal group whose generator list carries no redundant entries.
 
-        Rebuilds the chain with the already-known order as target, which
-        makes this cheap relative to the first build.
+        An exact rebuild: a fresh chain is verified from the generators
+        in order, and those that enlarge it are kept.  The generator
+        slimming counters of perfbench/tracer.py wrap this method.
         """
         arrays = [g.images for g in self.generators]
-        chain, kept = build_chain(self.degree, arrays, target_order=self.order)
+        chain, kept = build_chain(self.degree, arrays)
         gens = tuple(self.generators[i] for i in kept)
         return PermGroup(self.degree, gens, _chain=chain)
 

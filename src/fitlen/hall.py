@@ -1,16 +1,17 @@
 """Hall subgroups, Fitting-length profiles, and the size-graded maxima.
 
-All Hall subgroups come from the propagated Sylow system of a
-constructed group: the sigma-Hall subgroup is generated by the union of
-the Sylow generator lists for the primes in sigma, and its order is
-checked against the sigma-part of the group order.  There is no search
-for Hall subgroups in arbitrary groups here; the brute-force variant
-for tiny groups lives in the oracle module.
+All Hall subgroups come from the pcgs a constructed group carries:
+the sigma-Hall subgroup is generated by the Sylow generator lists for
+the primes in sigma, and its chain is certified from the sigma-filter
+of the pcgs, which proves its order.  There is no search for Hall
+subgroups in arbitrary groups here; the brute-force variant for tiny
+groups lives in the oracle module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -72,8 +73,9 @@ def _profile_entry(cg: ConstructedGroup, key: PrimeSet,
                    limits: Limits) -> int:
     if key not in cg._h_cache:
         # the Hall subgroup inherits the system members for its primes, which
-        # lets the first nilpotent residual come from one normal closure
-        sub_system = {p: [g.images for g in cg.system[p]] for p in key}
+        # lets the first nilpotent residual come from one normal closure;
+        # their certificates prove that each generates a p-group
+        sub_system = {p: hall_chain(cg, (p,))[1] for p in key}
         cg._h_cache[key] = fitting_length(hall_subgroup(cg, key), limits,
                                           system_gens=sub_system)
     return cg._h_cache[key]
@@ -104,8 +106,6 @@ def frak_h(cg: ConstructedGroup, ell: int,
         raise UsageError("subset size %d out of range 0..%d" % (ell, w))
     if ell == 0:
         return 0
-    from itertools import combinations
-
     subsets = list(combinations(cg.primes, ell))
     profile = hall_profile(cg, subsets, limits)
     return max(profile.h(sigma) for sigma in subsets)
@@ -135,26 +135,18 @@ class SylowSystemReport:
 
 
 def verify_sylow_system(cg: ConstructedGroup) -> SylowSystemReport:
-    """Check every Sylow order and every pairwise join order exactly.
+    """Certify every Sylow subgroup and every pairwise join.
 
-    Unlike the build-time check this never assumes the expected order,
-    so a corrupted system that generates something too large is caught.
+    Each order is read from a chain certified from the matching filter
+    of the pcgs (hall_chain), so a corrupted system raises
+    SylowSystemError rather than reporting a mismatch.
     """
-    from .chain import build_chain
-
     factored = cg.group.factored_order
-    primes = tuple(sorted(cg.system))
-    prime_checks = []
-    pair_checks = []
-    for p in primes:
-        arrays = [g.images for g in cg.system[p]]
-        chain, _ = build_chain(cg.degree, arrays)
-        prime_checks.append(SylowCheck((p,), p_part(factored, (p,)), chain.order()))
-    for i, p in enumerate(primes):
-        for q in primes[i + 1:]:
-            arrays = [g.images for g in cg.system[p]]
-            arrays += [g.images for g in cg.system[q]]
-            chain, _ = build_chain(cg.degree, arrays)
-            pair_checks.append(
-                SylowCheck((p, q), p_part(factored, (p, q)), chain.order()))
-    return SylowSystemReport(tuple(prime_checks), tuple(pair_checks))
+
+    def check(sigma: PrimeSet) -> SylowCheck:
+        return SylowCheck(sigma, p_part(factored, sigma),
+                          hall_chain(cg, sigma)[0].order())
+
+    return SylowSystemReport(
+        tuple(check((p,)) for p in cg.primes),
+        tuple(check(pair) for pair in combinations(cg.primes, 2)))

@@ -22,9 +22,10 @@ Implementation notes, since the large examples live or die here:
   conjugate only when it strictly enlarges a fully verified chain, so
   no kept generator lies in the group of those before it: the list is
   irredundant and rebuilding a chain to shorten it would drop nothing
-  (Seress 2003, ch. 4).  Hall subgroups arrive with the kept list of a
-  batched chain build, which is irredundant for most prime sets but not
-  for all; tests/test_series.py pins every list of two example families.
+  (Seress 2003, ch. 4).  A Hall subgroup arrives with its Sylow lists
+  concatenated.  Each list is a certified pcgs and so irredundant, but
+  their concatenation is not for every prime set; tests/test_series.py
+  pins every list of two example families.
 """
 
 from __future__ import annotations

@@ -103,21 +103,6 @@ def test_deterministic_rebuild():
            [[g.tobytes() for g in lv.gens] for lv in b.levels]
 
 
-def test_known_order_shortcut_matches_full_build():
-    gens = [parse_cycles("(1 2)", 7), parse_cycles("(1 2 3 4 5 6 7)", 7)]
-    arrays = [g.images for g in gens]
-    full, _ = build_chain(7, arrays)
-    hinted, _ = build_chain(7, arrays, target_order=math.factorial(7))
-    assert full.order() == hinted.order() == math.factorial(7)
-
-
-def test_known_order_mismatch_raises():
-    from fitlen.errors import SylowSystemError
-    arrays = [parse_cycles("(1 2 3)", 3).images]
-    with pytest.raises(SylowSystemError):
-        build_chain(3, arrays, target_order=6)
-
-
 def test_reduced_generators():
     a = parse_cycles("(1 2)", 5)
     b = parse_cycles("(1 2 3 4 5)", 5)

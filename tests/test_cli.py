@@ -1,7 +1,11 @@
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from fitlen.cli import main
+from fitlen.construct import expr_order, parse_expr
 
 PKG_ARGS = [sys.executable, "-m", "fitlen"]
 
@@ -191,3 +195,48 @@ def test_timings_go_to_stderr_only():
 
 def test_main_in_process_usage_error():
     assert main(["build", "C(4,1)"]) == 1
+
+
+@pytest.mark.parametrize("miswiring", ["lift", "embed"])
+def test_failed_certificate_exits_2_with_empty_stdout(monkeypatch, capsys,
+                                                      miswiring):
+    # lift: top elements are lifted with block size m - 1, so the pcgs
+    # leaves the group; embed: every base element of the pcgs lands in
+    # block 0, which keeps the group and its order but breaks the Sylow
+    # certificate.  Both are invariant breaches, not usage errors.
+    from fitlen import construct
+
+    if miswiring == "lift":
+        lift = construct._lift_block_perm
+
+        def miswired(block_perm, m):
+            out = np.arange(block_perm.size * m)
+            out[:block_perm.size * (m - 1)] = lift(block_perm, m - 1)
+            return out
+
+        monkeypatch.setattr(construct, "_lift_block_perm", miswired)
+    else:
+        embed = construct._embed
+        monkeypatch.setattr(construct, "_embed",
+                            lambda arr, block, m, total: embed(arr, 0, m, total))
+    code = main(["build", "W(C(2,1),C(3,1))", "--format", "kv"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("fitlen: pcgs ")
+
+
+def test_build_certifies_the_degree_900_group():
+    # family 3.4 at ell=1: the 651-element pcgs and every Sylow and pair
+    # chain certified from it
+    expr = "W(W(W(C(2,1),C(3,1)),W(C(5,1),C(2,1))),W(C(3,1),C(5,1)))"
+    code, out, _ = run_cli("build", expr, "--format", "kv")
+    assert code == 0
+    kv = dict(line.split(" = ", 1) for line in out.splitlines())
+    assert kv["degree"] == "900"
+    assert kv["order"] == str(expr_order(parse_expr(expr)))
+    rows = sorted({key.split(".")[1] for key in kv if key.startswith("entry.")})
+    assert len(rows) == 6
+    for i in rows:
+        assert kv["entry.%s.status" % i] == "ok"
+        assert kv["entry.%s.actual" % i] == kv["entry.%s.expected" % i]

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
-from fitlen.construct import (Cyclic, Direct, ElemAbelian, Iterated, Wreath,
-                              build, cyclic, direct_product, elem_abelian,
-                              expr_degree, expr_order, expr_to_text, iterated,
-                              parse_expr, wreath_product)
-from fitlen.errors import DegreeBudgetError, UsageError
+from fitlen.chain import certified_chain
+from fitlen.construct import (ConstructedGroup, Cyclic, Direct, ElemAbelian,
+                              Iterated, Wreath, build, cyclic, direct_product,
+                              elem_abelian, expr_degree, expr_order,
+                              expr_to_text, iterated, parse_expr,
+                              wreath_product)
+from fitlen.errors import DegreeBudgetError, SylowSystemError, UsageError
+from fitlen.group import PermGroup
+from fitlen.perms import parse_cycles
 from fitlen.series import fitting_length, is_nilpotent
 
 
@@ -182,3 +186,54 @@ def test_sylow_system_propagation_verified_on_catalog(catalog):
         factored = cg.group.factored_order
         for p in cg.primes:
             assert hall_chain(cg, (p,))[0].order() == p_part(factored, (p,)), name
+
+
+# Each pcgs is wrong for its group: S4 and S6 from their usual generators
+# tagged as soluble groups of order 12 and 72, a valid pcgs of S4 with one
+# redundant element appended, and the pcgs of W(C(2,1),C(3,1)) whose top
+# element is lifted with block size 1 instead of 2.
+BAD_PCGS = {
+    "s4-tagged-12": (["(1 2 3 4)", "(1 2)"], 4,
+                     [(4, "(1 2 3 4)"), (3, "(1 2)")]),
+    "s6-tagged-72": (["(1 2 3 4 5 6)", "(1 2)"], 6,
+                     [(8, "(1 2 3 4 5 6)"), (9, "(1 2)")]),
+    "s4-redundant": (["(1 2 3 4)", "(1 2)"], 4,
+                     [(2, "(1 2)(3 4)"), (2, "(1 3)(2 4)"), (3, "(1 2 3)"),
+                      (2, "(1 2)"), (2, "(1 4)(2 3)")]),
+    "w23-top-block-size-1": (None, 6,
+                             [(2, "(1 2)"), (2, "(3 4)"), (2, "(5 6)"),
+                              (3, "(1 2 3)")]),
+}
+
+
+def _pcgs(degree, tagged):
+    return tuple((q, parse_cycles(text, degree)) for q, text in tagged)
+
+
+def test_valid_pcgs_of_s4_certifies():
+    from test_chain import _assert_schreier_complete
+
+    pcgs = _pcgs(4, BAD_PCGS["s4-redundant"][2][:4])
+    group = PermGroup(4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)])
+    cg = ConstructedGroup(group, None, pcgs)
+    assert cg.order == 24 and cg.system[2] == tuple(g for q, g in pcgs if q == 2)
+    chain = certified_chain(4, [(q, g.images) for q, g in pcgs])
+    assert chain.order() == 24
+    _assert_schreier_complete(chain)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PCGS))
+def test_wrong_pcgs_raises(name):
+    gens, degree, tagged = BAD_PCGS[name]
+    if gens is None:
+        group = build(parse_expr("W(C(2,1),C(3,1))")).group
+    else:
+        group = PermGroup(degree, [parse_cycles(t, degree) for t in gens])
+    pcgs = _pcgs(degree, tagged)
+    # the sequence is checked against the group on creation, and the
+    # certificate rejects it without knowing the group at all
+    with pytest.raises(SylowSystemError):
+        ConstructedGroup(group, None, pcgs)
+    with pytest.raises(SylowSystemError):
+        certified_chain(degree, [(q, g.images) for q, g in pcgs])
+

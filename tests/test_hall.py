@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
-from fitlen.construct import ConstructedGroup, build, parse_expr
+from fitlen.chain import build_chain
+from fitlen.construct import ConstructedGroup, build, hall_chain, parse_expr
 from fitlen.errors import SylowSystemError, UsageError
 from fitlen.group import p_part
 from fitlen.hall import (frak_h, hall_complement, hall_profile, hall_subgroup,
                          verify_sylow_system)
 from fitlen.perms import Permutation, compose_arrays, invert_array
 from fitlen.series import fitting_length
+
+from test_chain import _assert_schreier_complete
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +131,25 @@ def test_verify_reports_expected_triple():
     assert joins == {(2, 3): 24}
 
 
+def assert_hall_chains_certified(cg, name=None):
+    """Every Hall chain is Schreier-complete and has the exact order of
+    its generator list."""
+    for size in range(1, cg.num_primes + 1):
+        for sigma in itertools.combinations(cg.primes, size):
+            chain, gens = hall_chain(cg, sigma)
+            _assert_schreier_complete(chain)
+            exact, _ = build_chain(cg.degree, gens)
+            assert chain.order() == exact.order(), (name, sigma)
+
+
+def test_hall_chains_certified_on_catalog(catalog):
+    for name, cg in catalog.items():
+        assert_hall_chains_certified(cg, name)
+
+
 def _corrupt_by_conjugation(cg):
     """Deterministic search for a conjugate of one Sylow member that
-    breaks pairwise permutability; returns (corrupted system, broken pair)."""
-    from fitlen.chain import build_chain
+    breaks pairwise permutability; returns (corrupted pcgs, broken pair)."""
     gens = [g.images for g in cg.group.generators]
     words = list(gens)
     for a, b in itertools.product(gens, gens):
@@ -147,28 +165,30 @@ def _corrupt_by_conjugation(cg):
             arrays += [g.images for g in conj]
             chain, _ = build_chain(cg.degree, arrays)
             if chain.order() != expected:
-                system = dict(cg.system)
-                system[q] = tuple(conj)
-                return system, (p, q)
+                conj = iter(conj)
+                pcgs = tuple((r, next(conj) if r % q == 0 else g)
+                             for r, g in cg.pcgs)
+                return pcgs, (p, q)
     raise AssertionError("no permutability-breaking conjugate found")
 
 
 def test_corrupted_system_fails_verification():
     # three-prime wreath tower whose Sylow subgroups are not all normal;
     # a conjugate of one member found by deterministic search breaks a
-    # pairwise join, and only the exact verification may notice
+    # pairwise join, which only a pair certificate may notice
     cg = build(parse_expr("W(C(5,1),W(C(2,1),C(3,1)))"))
-    bad_system, _ = _corrupt_by_conjugation(cg)
-    corrupted = ConstructedGroup(cg.group, cg.expr, bad_system)
-    report = verify_sylow_system(corrupted)
-    assert not report.ok
-    assert all(c.ok for c in report.prime_checks)  # conjugates keep orders
-    assert any(not c.ok for c in report.pair_checks)
+    bad_pcgs, _ = _corrupt_by_conjugation(cg)
+    corrupted = ConstructedGroup(cg.group, cg.expr, bad_pcgs)
+    for p in cg.primes:  # conjugates keep every Sylow certificate
+        assert hall_chain(corrupted, (p,))[0].order() == \
+            hall_chain(cg, (p,))[0].order()
+    with pytest.raises(SylowSystemError):
+        verify_sylow_system(corrupted)
 
 
 def test_hall_chain_mismatch_raises_system_error():
     cg = build(parse_expr("W(C(5,1),W(C(2,1),C(3,1)))"))
-    bad_system, pair = _corrupt_by_conjugation(cg)
-    corrupted = ConstructedGroup(cg.group, cg.expr, bad_system)
+    bad_pcgs, pair = _corrupt_by_conjugation(cg)
+    corrupted = ConstructedGroup(cg.group, cg.expr, bad_pcgs)
     with pytest.raises(SylowSystemError):
         hall_subgroup(corrupted, pair)

@@ -7,7 +7,8 @@ filter never asks fitlen to evaluate an oversized expression.  WR is
 drawn only over a leaf top: `expr_order` and `expr_degree` still
 evaluate exponent towers exactly when called directly (an open defect
 noted in CHANGES.md), and a regular action over a leaf keeps every
-exponent small.
+exponent small.  Every Hall chain of every drawn group is also checked
+against an exact build.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from fitlen.construct import build, expr_order, parse_expr  # noqa: E402
 from fitlen.oracle import enumerate_group, fitting_length_upper  # noqa: E402
 from fitlen.series import fitting_length  # noqa: E402
+
+from test_hall import assert_hall_chains_certified  # noqa: E402
 
 MAX_ORDER, MAX_DEGREE = 2000, 64
 
@@ -59,3 +62,4 @@ def test_chain_route_matches_oracle(entry):
     T = enumerate_group(cg.group)
     assert T.order == order
     assert fitting_length(cg.group) == fitting_length_upper(T)
+    assert_hall_chains_certified(cg, text)
