@@ -188,18 +188,18 @@ def test_sylow_system_propagation_verified_on_catalog(catalog):
             assert hall_chain(cg, (p,))[0].order() == p_part(factored, (p,)), name
 
 
+S4_GENS = ["(1 2 3 4)", "(1 2)"]
+S4_PCGS = [(2, "(1 2)(3 4)"), (2, "(1 3)(2 4)"), (3, "(1 2 3)"), (2, "(1 2)")]
+
 # Each pcgs is wrong for its group: S4 and S6 from their usual generators
 # tagged as soluble groups of order 12 and 72, a valid pcgs of S4 with one
 # redundant element appended, and the pcgs of W(C(2,1),C(3,1)) whose top
 # element is lifted with block size 1 instead of 2.
 BAD_PCGS = {
-    "s4-tagged-12": (["(1 2 3 4)", "(1 2)"], 4,
-                     [(4, "(1 2 3 4)"), (3, "(1 2)")]),
+    "s4-tagged-12": (S4_GENS, 4, [(4, "(1 2 3 4)"), (3, "(1 2)")]),
     "s6-tagged-72": (["(1 2 3 4 5 6)", "(1 2)"], 6,
                      [(8, "(1 2 3 4 5 6)"), (9, "(1 2)")]),
-    "s4-redundant": (["(1 2 3 4)", "(1 2)"], 4,
-                     [(2, "(1 2)(3 4)"), (2, "(1 3)(2 4)"), (3, "(1 2 3)"),
-                      (2, "(1 2)"), (2, "(1 4)(2 3)")]),
+    "s4-redundant": (S4_GENS, 4, S4_PCGS + [(2, "(1 4)(2 3)")]),
     "w23-top-block-size-1": (None, 6,
                              [(2, "(1 2)"), (2, "(3 4)"), (2, "(5 6)"),
                               (3, "(1 2 3)")]),
@@ -213,8 +213,8 @@ def _pcgs(degree, tagged):
 def test_valid_pcgs_of_s4_certifies():
     from test_chain import _assert_schreier_complete
 
-    pcgs = _pcgs(4, BAD_PCGS["s4-redundant"][2][:4])
-    group = PermGroup(4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)])
+    pcgs = _pcgs(4, S4_PCGS)
+    group = PermGroup(4, [parse_cycles(t, 4) for t in S4_GENS])
     cg = ConstructedGroup(group, None, pcgs)
     assert cg.order == 24 and cg.system[2] == tuple(g for q, g in pcgs if q == 2)
     chain = certified_chain(4, [(q, g.images) for q, g in pcgs])
