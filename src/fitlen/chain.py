@@ -8,11 +8,8 @@ makes adding one generator to an already verified chain cheap; normal
 closures lean on that heavily.
 
 A chain is complete when every Schreier generator sifts to the
-identity.  A chain of a group given by a polycyclic sequence is
-instead certified (`certified_chain`; Sims, "Computing the order of a
-solvable permutation group", J. Symbolic Comput. 9, 1990; Seress,
-*Permutation Group Algorithms*, ch. 7), which proves its order without
-sifting a single Schreier generator.
+identity; its orbit product is then the group's order.  Every chain
+here is built that way, so every order it reports is proved.
 
 Verification scans levels deepest first, and finishes every level
 below L before it scans level L.  That order makes one kind of pair
@@ -27,11 +24,10 @@ chain's identity image.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import SylowSystemError
 from .perms import _arange, invert_array
 
 
@@ -239,82 +235,3 @@ def build_chain(degree: int, arrays: Iterable[np.ndarray]
     chain = StabilizerChain(degree)
     return chain, chain.extend(arrays)
 
-
-def _power(arr: np.ndarray, e: int) -> np.ndarray:
-    out = _arange(arr.size)
-    while e:
-        if e & 1:
-            out = arr[out]
-        arr = arr[arr]
-        e >>= 1
-    return out
-
-
-def _prime_of(q: int) -> int:
-    """The prime p with q = p^k for some k >= 1."""
-    p = next((f for f in range(2, q + 1) if q % f == 0), q)
-    e = p
-    while e < q:
-        e *= p
-    if q < 2 or e != q:
-        raise SylowSystemError("relative order %d is not a prime power" % q)
-    return p
-
-
-def certified_chain(degree: int, pcgs: Sequence[tuple[int, np.ndarray]]
-                    ) -> StabilizerChain:
-    """Complete chain of the group a polycyclic sequence generates.
-
-    pcgs lists (q, g) pairs bottom-up, q = p^k with p prime.  Let H be
-    the group of the elements before g, whose chain is complete.  The
-    certificate checks, with sifts into that chain, that g normalises
-    H (conjugating only the elements whose support meets g's, since
-    disjoint permutations commute) and that g^q lies in H.  It then
-    inserts the residues of g^(q/p), ..., g^p, g in turn; none may sift
-    into the chain, and each must multiply the orbit product by exactly
-    p.  Each step then raises the group order p-fold too, and an orbit
-    product equal to the group order makes a chain complete, so the
-    result's order is proved.  Any failed check raises
-    SylowSystemError.  A residue is stored on every level down to the
-    first base point it moves, as in Schreier-Sims, but only that
-    level's orbit is extended.
-    """
-    chain = StabilizerChain(degree)
-    if not pcgs:
-        return chain
-    arrays = [g for _, g in pcgs]
-    support = np.stack(arrays) != _arange(degree)
-    for i, (q, g) in enumerate(pcgs):
-        p = _prime_of(q)
-        g_inv = invert_array(g)
-        for j in np.flatnonzero((support[:i] & support[i]).any(axis=1)):
-            x = arrays[j]
-            conj = g[x[g_inv]]
-            if conj.tobytes() != x.tobytes() and chain.sift(conj)[0] is not None:
-                raise SylowSystemError(
-                    "pcgs element %d does not normalise the group of the "
-                    "elements before it" % i)
-        powers, e = [g], 1  # g, g^p, ..., g^q
-        while e < q:
-            powers.append(_power(powers[-1], p))
-            e *= p
-        if chain.sift(powers.pop())[0] is not None:
-            raise SylowSystemError(
-                "pcgs element %d: its %d-th power lies outside the group of "
-                "the elements before it" % (i, q))
-        for x in reversed(powers):
-            before = chain.order()
-            residue, stuck = chain.sift(x)
-            if residue is not None:
-                chain._insert(residue, stuck, stuck)
-                # H is normal in <H, x>, so H's orbit at a level above
-                # stuck is a block that the residue, fixing its base
-                # point, maps to itself: those orbits cannot grow
-                for lv in chain.levels[:stuck]:
-                    lv.gens.append(residue)
-                    lv.vscan = 0
-            if chain.order() != p * before:
-                raise SylowSystemError(
-                    "pcgs element %d does not raise the order %d-fold"
-                    % (i, p))
-    return chain

@@ -2,11 +2,16 @@
 
 Groups are assembled from cyclic and elementary-abelian leaves by
 direct products, wreath products and iterated wreath powers.  Every
-builder propagates a polycyclic generating sequence (pcgs) with prime
-relative orders.  Its filter for one prime is that prime's member of a
-Sylow system, and its filter for a prime set sigma generates a Hall
-sigma-subgroup whose chain is certified from the filter itself
-(`hall_chain`), so every Hall order is proved, never assumed.
+builder keeps the recursion that made its generator list as a function
+of a prime set sigma: a leaf outside sigma keeps its points but adds
+no generator, a direct product joins both sides, and A wr B embeds
+A_sigma's generators at one block per orbit of B_sigma and lifts
+B_sigma's.  With every prime this is the group's own list; with sigma
+it generates (A_sigma)^d B_sigma, a Hall sigma-subgroup.  Nothing is
+assumed about either: creation checks the group's exact order against
+the expression's order formula, and `hall_chain` checks that each Hall
+list lies in the group and that its exact chain has the sigma-part of
+that order.
 
 Point layout of a wreath product A wr B with d top points: coordinate
 i of A occupies points [i*deg(A), (i+1)*deg(A)); top generators permute
@@ -16,16 +21,15 @@ contract, as is left association of iterated products.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Collection, Optional, Union
 
 import numpy as np
 
+from .chain import build_chain
 from .config import DEFAULT_LIMITS, Limits
 from .errors import DegreeBudgetError, SylowSystemError, UsageError
-from .chain import certified_chain
-from .group import PermGroup
+from .group import PermGroup, p_part
 from .perms import Permutation, _arange, compose_arrays
 
 NATURAL = "natural"
@@ -113,6 +117,11 @@ def expr_degree(expr: GroupExpr, default_action: str = NATURAL) -> int:
     return _size(expr, default_action, None)[0]
 
 
+# Widest power _size evaluates exactly: far above the order of any
+# group of buildable degree (4096! has about 43,000 bits).
+_EXACT_BITS = 1 << 20
+
+
 def _size(expr: GroupExpr, default_action: str,
           ceiling: Optional[int]) -> tuple[int, int]:
     """(degree, order) of expr; exact when ceiling is None.
@@ -124,7 +133,8 @@ def _size(expr: GroupExpr, default_action: str,
     the arithmetic a few hundred bits wide, and a saturated degree still
     proves a budget below the ceiling is exceeded.  Every leaf has degree
     and order at least 2, which bounds the exponent that can stay below
-    the ceiling.
+    the ceiling.  Without a ceiling, a power that would pass
+    _EXACT_BITS bits raises UsageError instead of evaluating the tower.
     """
     if ceiling is None:
         over = None
@@ -133,6 +143,11 @@ def _size(expr: GroupExpr, default_action: str,
             return a
 
         def power(a: int, e: int) -> int:
+            # a >= 2, so a ** e has at least (bit_length - 1) * e bits
+            if (a.bit_length() - 1) * e > _EXACT_BITS:
+                raise UsageError(
+                    "expression too large: its order or degree has more "
+                    "than %d bits" % _EXACT_BITS)
             return a ** e
     else:
         over = ceiling + 1
@@ -189,36 +204,33 @@ def expr_to_text(expr: GroupExpr) -> str:
 
 # -- constructed groups ---------------------------------------------------
 
+# A Hall list as a function of sigma; None asks for the group's own list.
+HallGenerators = Callable[[Optional[Collection[int]]], list[np.ndarray]]
+
+
 @dataclass
 class ConstructedGroup:
-    """A permutation group together with its construction and a pcgs.
+    """A permutation group together with its construction.
 
-    pcgs lists (relative order, element) pairs in construction order:
-    the relative order is a prime, except for a C(p,k) leaf generator,
-    whose relative order is p^k.  Creation checks the sequence against
-    the group, whose chain is built exactly from its generators: every
-    element must lie in the group, and the relative orders must
-    multiply to its order.
+    hall_generators(sigma) lists image arrays that generate a Hall
+    sigma-subgroup, built by the recursion that built the group's own
+    generator list, hall_generators(None).  Creation builds the group's
+    chain exactly from that list and requires its order to equal the
+    expression's order formula.
     """
 
     group: PermGroup
     expr: Optional[GroupExpr]
-    pcgs: tuple[tuple[int, Permutation], ...]
+    hall_generators: HallGenerators
     _hall_chain_cache: dict = field(default_factory=dict, repr=False)
     _h_cache: dict = field(default_factory=dict, repr=False)
     _d_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        chain = self.group.chain
-        for i, (_, g) in enumerate(self.pcgs):
-            if g.degree != self.degree or chain.sift(g.images)[0] is not None:
-                raise SylowSystemError(
-                    "pcgs element %d is not an element of the group" % i)
-        claimed = math.prod(q for q, _ in self.pcgs)
-        if claimed != chain.order():
+        if self.expr is not None and self.order != expr_order(self.expr):
             raise SylowSystemError(
-                "pcgs relative orders multiply to %d but the group has "
-                "order %d" % (claimed, chain.order()))
+                "%s: the group has order %d, but the expression gives %d"
+                % (self.describe(), self.order, expr_order(self.expr)))
 
     @property
     def degree(self) -> int:
@@ -226,8 +238,13 @@ class ConstructedGroup:
 
     @property
     def system(self) -> dict[int, tuple[Permutation, ...]]:
-        """The Sylow system: for each prime p, the p-filter of the pcgs."""
-        return {p: tuple(g for q, g in self.pcgs if q % p == 0)
+        """A Sylow system: for each prime p, the Hall (p,)-list.
+
+        The recursion builds every Hall subgroup as the product of these
+        members, so they permute pairwise.
+        """
+        return {p: tuple(Permutation(a, _checked=True)
+                         for a in hall_chain(self, (p,))[1])
                 for p in self.primes}
 
     @property
@@ -246,11 +263,23 @@ class ConstructedGroup:
         return expr_to_text(self.expr) if self.expr is not None else "<adhoc>"
 
 
+def _constructed(degree: int, expr: Optional[GroupExpr],
+                 hall_generators: HallGenerators) -> ConstructedGroup:
+    # builders pass recursions that hold their children's recursions,
+    # never the children, so no intermediate group outlives the build
+    gens = tuple(Permutation(a, _checked=False) for a in hall_generators(None))
+    return ConstructedGroup(PermGroup(degree, gens), expr, hall_generators)
+
+
 def trivial_constructed(degree: int = 1) -> ConstructedGroup:
-    return ConstructedGroup(PermGroup.trivial(degree), None, ())
+    return ConstructedGroup(PermGroup.trivial(degree), None, lambda sigma: [])
 
 
 # -- leaf builders --------------------------------------------------------
+
+def _leaf(p: int, arrays: list[np.ndarray]) -> HallGenerators:
+    return lambda sigma: list(arrays) if sigma is None or p in sigma else []
+
 
 def cyclic(p: int, k: int = 1, limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
     validate_expr(Cyclic(p, k))
@@ -259,8 +288,7 @@ def cyclic(p: int, k: int = 1, limits: Limits = DEFAULT_LIMITS) -> ConstructedGr
         raise DegreeBudgetError(
             "cyclic leaf needs degree %d > budget %d" % (n, limits.max_degree), n)
     images = np.roll(np.arange(n, dtype=np.intp), -1)
-    gen = Permutation(images)
-    return ConstructedGroup(PermGroup(n, (gen,)), Cyclic(p, k), ((n, gen),))
+    return _constructed(n, Cyclic(p, k), _leaf(p, [images]))
 
 
 def elem_abelian(p: int, k: int, limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
@@ -274,9 +302,8 @@ def elem_abelian(p: int, k: int, limits: Limits = DEFAULT_LIMITS) -> Constructed
     for i in range(k):
         arr = np.arange(n, dtype=np.intp)
         arr[i * p:(i + 1) * p] = np.roll(np.arange(i * p, (i + 1) * p), -1)
-        gens.append(Permutation(arr))
-    return ConstructedGroup(PermGroup(n, tuple(gens)), ElemAbelian(p, k),
-                            tuple((p, g) for g in gens))
+        gens.append(arr)
+    return _constructed(n, ElemAbelian(p, k), _leaf(p, gens))
 
 
 # -- combinators ----------------------------------------------------------
@@ -293,17 +320,16 @@ def direct_product(A: ConstructedGroup, B: ConstructedGroup,
     if n > limits.max_degree:
         raise DegreeBudgetError(
             "direct product needs degree %d > budget %d" % (n, limits.max_degree), n)
-    gens = [Permutation(_shift(g.images, 0, n), _checked=False)
-            for g in A.group.generators]
-    gens += [Permutation(_shift(g.images, A.degree, n), _checked=False)
-             for g in B.group.generators]
-    pcgs = [(q, Permutation(_shift(g.images, 0, n))) for q, g in A.pcgs]
-    pcgs += [(q, Permutation(_shift(g.images, A.degree, n)))
-             for q, g in B.pcgs]
+    left, right, offset = A.hall_generators, B.hall_generators, A.degree
+
+    def hall_generators(sigma):
+        return ([_shift(g, 0, n) for g in left(sigma)]
+                + [_shift(g, offset, n) for g in right(sigma)])
+
     expr = None
     if A.expr is not None and B.expr is not None:
         expr = Direct(A.expr, B.expr)
-    return ConstructedGroup(PermGroup(n, tuple(gens)), expr, tuple(pcgs))
+    return _constructed(n, expr, hall_generators)
 
 
 def _enumerate_elements(B: ConstructedGroup) -> tuple[list[np.ndarray], dict[bytes, int]]:
@@ -384,34 +410,26 @@ def wreath_product(A: ConstructedGroup, B: ConstructedGroup,
             % (n, limits.max_degree, hint), n)
 
     if action == NATURAL:
-        top_gen_blocks = [g.images for g in B.group.generators]
-        top_pcgs_blocks = [(q, g.images) for q, g in B.pcgs]
+        top = B.hall_generators
     else:
+        # every Hall subgroup's top acts on the whole top's element list
         elems, index = _enumerate_elements(B)
-        top_gen_blocks = [
-            _right_translation(elems, index, g.images)
-            for g in B.group.generators
-        ]
-        top_pcgs_blocks = [(q, _right_translation(elems, index, g.images))
-                           for q, g in B.pcgs]
 
-    reps = _block_orbit_reps(d, top_gen_blocks)
-    gens: list[Permutation] = []
-    for rep in reps:
-        for a in A.group.generators:
-            gens.append(Permutation(_embed(a.images, rep, m, n), _checked=False))
-    for t in top_gen_blocks:
-        gens.append(Permutation(_lift_block_perm(t, m), _checked=False))
+        def top(sigma, gens=B.hall_generators):
+            return [_right_translation(elems, index, g) for g in gens(sigma)]
+    base = A.hall_generators
 
-    pcgs = [(q, Permutation(_embed(a.images, block, m, n)))
-            for q, a in A.pcgs for block in range(d)]
-    pcgs += [(q, Permutation(_lift_block_perm(t, m)))
-             for q, t in top_pcgs_blocks]
+    def hall_generators(sigma):
+        blocks = top(sigma)
+        base_gens = base(sigma)
+        gens = [_embed(a, rep, m, n) for rep in _block_orbit_reps(d, blocks)
+                for a in base_gens]
+        return gens + [_lift_block_perm(t, m) for t in blocks]
 
     expr = None
     if A.expr is not None and B.expr is not None:
         expr = Wreath(A.expr, B.expr, action)
-    return ConstructedGroup(PermGroup(n, tuple(gens)), expr, tuple(pcgs))
+    return _constructed(n, expr, hall_generators)
 
 
 def iterated(H: ConstructedGroup, times: int, action: str = NATURAL,
@@ -574,19 +592,28 @@ def parse_expr(text: str) -> GroupExpr:
 # -- Hall chains --------------------------------------------------------------
 
 def hall_chain(cg: ConstructedGroup, sigma: tuple[int, ...]):
-    """Certified chain and generator list of the Hall sigma-subgroup.
+    """Exact chain and generator list of the Hall sigma-subgroup.
 
-    The chain is certified from the sigma-filter of the pcgs
-    (chain.certified_chain); the generator list is the Sylow lists for
-    sigma, concatenated.  Both are cached per canonical sigma on the
-    constructed group.  A failed certificate raises SylowSystemError.
+    The list is cg.hall_generators for sigma and the chain is built from
+    it by Schreier-Sims; both are cached per canonical sigma on the
+    constructed group.  Every generator must sift into the group's chain
+    and the chain's order must be the sigma-part of |G|, so the list
+    generates a Hall sigma-subgroup of G; otherwise SylowSystemError is
+    raised.
     """
     key = tuple(sorted(set(sigma) & set(cg.primes)))
     cached = cg._hall_chain_cache.get(key)
     if cached is None:
-        chain = certified_chain(
-            cg.degree, [(q, g.images) for q, g in cg.pcgs
-                        if any(q % p == 0 for p in key)])
-        gens = [g.images for p in key for q, g in cg.pcgs if q % p == 0]
+        what = "%s: Hall {%s}-" % (cg.describe(), ",".join(map(str, key)))
+        gens = cg.hall_generators(key)
+        for i, g in enumerate(gens):
+            if cg.group.chain.sift(g)[0] is not None:
+                raise SylowSystemError(
+                    what + "generator %d lies outside the group" % i)
+        chain, _ = build_chain(cg.degree, gens)
+        expected = p_part(cg.group.factored_order, key)
+        if chain.order() != expected:
+            raise SylowSystemError(what + "subgroup has order %d, not %d"
+                                   % (chain.order(), expected))
         cached = cg._hall_chain_cache[key] = (chain, gens)
     return cached

@@ -36,7 +36,8 @@ class DegreeBudgetError(FitlenError, ValueError):
 
 
 class SylowSystemError(FitlenError, RuntimeError):
-    """A propagated Sylow system failed an order check (invariant breach)."""
+    """A constructed group or one of its Hall subgroups failed an order
+    or membership check (invariant breach)."""
 
 
 class OracleScaleError(FitlenError, ValueError):

@@ -22,10 +22,11 @@ Implementation notes, since the large examples live or die here:
   conjugate only when it strictly enlarges a fully verified chain, so
   no kept generator lies in the group of those before it: the list is
   irredundant and rebuilding a chain to shorten it would drop nothing
-  (Seress 2003, ch. 4).  A Hall subgroup arrives with its Sylow lists
-  concatenated.  Each list is a certified pcgs and so irredundant, but
-  their concatenation is not for every prime set; tests/test_series.py
-  pins every list of two example families.
+  (Seress 2003, ch. 4).  A Hall subgroup arrives with the list its
+  construction's recursion builds: one embedded copy of each base
+  generator per block orbit of the top, then the lifted top generators.
+  That list is irredundant too, and tests/test_series.py checks every
+  Hall list of three example groups.
 """
 
 from __future__ import annotations
@@ -239,10 +240,13 @@ def is_nilpotent(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> bool:
 def _system_residual_seeds(system_gens: dict[int, Sequence[np.ndarray]]):
     """Cross-prime commutators of Sylow generators.
 
-    A finite group is nilpotent exactly when the members of a Sylow
-    system commute pairwise, so the normal closure of these seeds is
-    the nilpotent residual: killing them makes every pair of Sylow
-    images commute, and they die in any quotient that is nilpotent.
+    Given one Sylow p-subgroup P_p of G for each prime p, not
+    necessarily a Sylow system, the normal closure N of these seeds is
+    the nilpotent residual.  The P_p generate G, so G/N is a product of
+    pairwise commuting p-groups for distinct primes, which is
+    nilpotent.  Conversely, distinct-prime Sylow subgroups commute
+    modulo the nilpotent residual, since the quotient is the direct
+    product of its Sylow subgroups, so every seed lies in it.
     """
     primes = sorted(system_gens)
     seeds = []
@@ -257,10 +261,10 @@ def lower_nilpotent_series(G: PermGroup,
                            system_gens: Optional[dict] = None) -> SubgroupSeries:
     """N0 = G, N(i+1) = nilpotent residual of Ni, down to the trivial group.
 
-    When the caller owns a verified Sylow system for G, passing its
-    generator arrays computes the first residual as a single normal
-    closure instead of a lower-central iteration; later terms carry no
-    system and always use the iteration.
+    When the caller has generator arrays of one Sylow p-subgroup of G
+    for each prime p, passing them computes the first residual as a
+    single normal closure instead of a lower-central iteration; later
+    terms carry no seeds and always use the iteration.
     """
     conj = _gen_arrays(G)
 

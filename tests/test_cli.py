@@ -200,10 +200,11 @@ def test_main_in_process_usage_error():
 @pytest.mark.parametrize("miswiring", ["lift", "embed"])
 def test_failed_certificate_exits_2_with_empty_stdout(monkeypatch, capsys,
                                                       miswiring):
-    # lift: top elements are lifted with block size m - 1, so the pcgs
-    # leaves the group; embed: every base element of the pcgs lands in
-    # block 0, which keeps the group and its order but breaks the Sylow
-    # certificate.  Both are invariant breaches, not usage errors.
+    # lift: top elements are lifted with block size m - 1, so the group
+    # is not the one its expression describes; embed: every base
+    # generator lands in block 0, which keeps the group and its order but
+    # leaves the Sylow 2-list generating C2.  Both are invariant
+    # breaches, not usage errors.
     from fitlen import construct
 
     if miswiring == "lift":
@@ -223,12 +224,11 @@ def test_failed_certificate_exits_2_with_empty_stdout(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("fitlen: pcgs ")
+    assert captured.err.startswith("fitlen: W(C(2,1),C(3,1)): ")
 
 
 def test_build_certifies_the_degree_900_group():
-    # family 3.4 at ell=1: the 651-element pcgs and every Sylow and pair
-    # chain certified from it
+    # family 3.4 at ell=1: every Sylow and pair chain proves its order
     expr = "W(W(W(C(2,1),C(3,1)),W(C(5,1),C(2,1))),W(C(3,1),C(5,1)))"
     code, out, _ = run_cli("build", expr, "--format", "kv")
     assert code == 0

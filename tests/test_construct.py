@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from fitlen.chain import certified_chain
 from fitlen.construct import (ConstructedGroup, Cyclic, Direct, ElemAbelian,
                               Iterated, Wreath, build, cyclic, direct_product,
                               elem_abelian, expr_degree, expr_order,
@@ -188,52 +187,31 @@ def test_sylow_system_propagation_verified_on_catalog(catalog):
             assert hall_chain(cg, (p,))[0].order() == p_part(factored, (p,)), name
 
 
-S4_GENS = ["(1 2 3 4)", "(1 2)"]
-S4_PCGS = [(2, "(1 2)(3 4)"), (2, "(1 3)(2 4)"), (3, "(1 2 3)"), (2, "(1 2)")]
-
-# Each pcgs is wrong for its group: S4 and S6 from their usual generators
-# tagged as soluble groups of order 12 and 72, a valid pcgs of S4 with one
-# redundant element appended, and the pcgs of W(C(2,1),C(3,1)) whose top
-# element is lifted with block size 1 instead of 2.
-BAD_PCGS = {
-    "s4-tagged-12": (S4_GENS, 4, [(4, "(1 2 3 4)"), (3, "(1 2)")]),
-    "s6-tagged-72": (["(1 2 3 4 5 6)", "(1 2)"], 6,
-                     [(8, "(1 2 3 4 5 6)"), (9, "(1 2)")]),
-    "s4-redundant": (S4_GENS, 4, S4_PCGS + [(2, "(1 4)(2 3)")]),
-    "w23-top-block-size-1": (None, 6,
-                             [(2, "(1 2)"), (2, "(3 4)"), (2, "(5 6)"),
-                              (3, "(1 2 3)")]),
+# Each group is larger than its expression says: S4 and S6 from their
+# usual generators, labelled with expressions of order 12 and 72.
+WRONG_EXPRESSIONS = {
+    "s4-tagged-12": (["(1 2 3 4)", "(1 2)"], 4, "D(C(2,2),C(3,1))"),
+    "s6-tagged-72": (["(1 2 3 4 5 6)", "(1 2)"], 6, "D(C(2,3),EA(3,2))"),
 }
 
 
-def _pcgs(degree, tagged):
-    return tuple((q, parse_cycles(text, degree)) for q, text in tagged)
+@pytest.mark.parametrize("name", sorted(WRONG_EXPRESSIONS))
+def test_order_differing_from_expression_raises(name):
+    gens, degree, text = WRONG_EXPRESSIONS[name]
+    group = PermGroup(degree, [parse_cycles(t, degree) for t in gens])
+    with pytest.raises(SylowSystemError, match="the expression gives"):
+        ConstructedGroup(group, parse_expr(text), lambda sigma: [])
 
 
-def test_valid_pcgs_of_s4_certifies():
-    from test_chain import _assert_schreier_complete
+def test_exponent_tower_order_raises_quickly():
+    # the expression of test_cli's tower test: its exact order is an
+    # exponent tower, which expr_order and expr_degree refuse to evaluate
+    import time
 
-    pcgs = _pcgs(4, S4_PCGS)
-    group = PermGroup(4, [parse_cycles(t, 4) for t in S4_GENS])
-    cg = ConstructedGroup(group, None, pcgs)
-    assert cg.order == 24 and cg.system[2] == tuple(g for q, g in pcgs if q == 2)
-    chain = certified_chain(4, [(q, g.images) for q, g in pcgs])
-    assert chain.order() == 24
-    _assert_schreier_complete(chain)
-
-
-@pytest.mark.parametrize("name", sorted(BAD_PCGS))
-def test_wrong_pcgs_raises(name):
-    gens, degree, tagged = BAD_PCGS[name]
-    if gens is None:
-        group = build(parse_expr("W(C(2,1),C(3,1))")).group
-    else:
-        group = PermGroup(degree, [parse_cycles(t, degree) for t in gens])
-    pcgs = _pcgs(degree, tagged)
-    # the sequence is checked against the group on creation, and the
-    # certificate rejects it without knowing the group at all
-    with pytest.raises(SylowSystemError):
-        ConstructedGroup(group, None, pcgs)
-    with pytest.raises(SylowSystemError):
-        certified_chain(degree, [(q, g.images) for q, g in pcgs])
-
+    expr = parse_expr(
+        "W(C(2,1),WR(C(2,1),WR(C(2,1),WR(C(2,1),WR(C(2,1),C(7,1))))))")
+    for size in (expr_order, expr_degree):
+        start = time.monotonic()
+        with pytest.raises(UsageError, match="too large"):
+            size(expr)
+        assert time.monotonic() - start < 1.0

@@ -3,13 +3,14 @@ import itertools
 import pytest
 
 from fitlen.chain import build_chain
-from fitlen.construct import ConstructedGroup, build, hall_chain, parse_expr
+from fitlen.construct import (ConstructedGroup, build, expr_order, hall_chain,
+                              parse_expr)
 from fitlen.errors import SylowSystemError, UsageError
 from fitlen.group import p_part
 from fitlen.hall import (frak_h, hall_complement, hall_profile, hall_subgroup,
                          verify_sylow_system)
-from fitlen.perms import Permutation, compose_arrays, invert_array
-from fitlen.series import fitting_length
+from fitlen.perms import compose_arrays, invert_array, parse_cycles
+from fitlen.series import fitting_length, lower_nilpotent_series
 
 from test_chain import _assert_schreier_complete
 
@@ -111,14 +112,12 @@ def test_frak_monotone_on_catalog(catalog):
 
 
 def test_verify_sylow_system_passes_catalog(catalog):
-    for name, cg in catalog.items():
-        report = verify_sylow_system(cg)
-        assert report.ok, name
+    for cg in catalog.values():
+        verify_sylow_system(cg)
 
 
 def test_verify_nilpotent_group_passes(catalog):
     report = verify_sylow_system(catalog["c6"])
-    assert report.ok
     assert all(c.expected == c.actual for c in report.prime_checks)
 
 
@@ -132,14 +131,17 @@ def test_verify_reports_expected_triple():
 
 
 def assert_hall_chains_certified(cg, name=None):
-    """Every Hall chain is Schreier-complete and has the exact order of
-    its generator list."""
+    """Every Hall chain is Schreier-complete, and its order is the
+    sigma-part of the order the expression gives."""
     for size in range(1, cg.num_primes + 1):
         for sigma in itertools.combinations(cg.primes, size):
-            chain, gens = hall_chain(cg, sigma)
+            chain, _ = hall_chain(cg, sigma)
             _assert_schreier_complete(chain)
-            exact, _ = build_chain(cg.degree, gens)
-            assert chain.order() == exact.order(), (name, sigma)
+            rest, part = expr_order(cg.expr), 1
+            for p in sigma:
+                while rest % p == 0:
+                    rest, part = rest // p, part * p
+            assert chain.order() == part, (name, sigma)
 
 
 def test_hall_chains_certified_on_catalog(catalog):
@@ -147,48 +149,58 @@ def test_hall_chains_certified_on_catalog(catalog):
         assert_hall_chains_certified(cg, name)
 
 
-def _corrupt_by_conjugation(cg):
-    """Deterministic search for a conjugate of one Sylow member that
-    breaks pairwise permutability; returns (corrupted pcgs, broken pair)."""
-    gens = [g.images for g in cg.group.generators]
-    words = list(gens)
-    for a, b in itertools.product(gens, gens):
-        words.append(compose_arrays(a, b))
+def test_hall_subgroup_with_miswired_embedding_raises(monkeypatch):
+    # every base generator embedded in block 0: G keeps its list, since
+    # the top is transitive, but the Sylow 2-list generates only C2
+    from fitlen import construct
+
+    embed = construct._embed
+    monkeypatch.setattr(construct, "_embed",
+                        lambda arr, block, m, total: embed(arr, 0, m, total))
+    cg = build(parse_expr("W(C(2,1),C(3,1))"))
+    assert cg.order == 24
+    with pytest.raises(SylowSystemError, match="has order 2, not 8"):
+        hall_subgroup(cg, (2,))
+
+
+def test_hall_list_outside_the_group_raises():
+    # (1 3)(2 4) swaps two blocks, which C3 on top cannot: the list still
+    # generates a group of order 8, so only the membership check sees it
+    cg = build(parse_expr("W(C(2,1),C(3,1))"))
+    outside = parse_cycles("(1 3)(2 4)", 6).images
+
+    def hall_generators(sigma):
+        gens = cg.hall_generators(sigma)
+        return gens[:-1] + [outside] if sigma == (2,) else gens
+
+    bad = ConstructedGroup(cg.group, cg.expr, hall_generators)
+    assert build_chain(6, hall_generators((2,)))[0].order() == 8
+    with pytest.raises(SylowSystemError, match="generator 2 lies outside"):
+        hall_subgroup(bad, (2,))
+
+
+def test_conjugated_sylow_seeds_give_the_same_residual():
+    # the seeded residual needs one Sylow subgroup per prime, not a Sylow
+    # system: replace one member by a conjugate that no longer permutes
+    # with another, and the lower nilpotent series stays the same
+    cg = build(parse_expr("W(C(5,1),W(C(2,1),C(3,1)))"))
+    seeds = {p: [g.images for g in gens] for p, gens in cg.system.items()}
     factored = cg.group.factored_order
-    for p, q in itertools.combinations(cg.primes, 2):
-        expected = p_part(factored, (p, q))
-        for x in words:
-            x_inv = invert_array(x)
-            conj = [Permutation(compose_arrays(compose_arrays(x_inv, g.images), x))
-                    for g in cg.system[q]]
-            arrays = [g.images for g in cg.system[p]]
-            arrays += [g.images for g in conj]
-            chain, _ = build_chain(cg.degree, arrays)
-            if chain.order() != expected:
-                conj = iter(conj)
-                pcgs = tuple((r, next(conj) if r % q == 0 else g)
-                             for r, g in cg.pcgs)
-                return pcgs, (p, q)
-    raise AssertionError("no permutability-breaking conjugate found")
-
-
-def test_corrupted_system_fails_verification():
-    # three-prime wreath tower whose Sylow subgroups are not all normal;
-    # a conjugate of one member found by deterministic search breaks a
-    # pairwise join, which only a pair certificate may notice
-    cg = build(parse_expr("W(C(5,1),W(C(2,1),C(3,1)))"))
-    bad_pcgs, _ = _corrupt_by_conjugation(cg)
-    corrupted = ConstructedGroup(cg.group, cg.expr, bad_pcgs)
-    for p in cg.primes:  # conjugates keep every Sylow certificate
-        assert hall_chain(corrupted, (p,))[0].order() == \
-            hall_chain(cg, (p,))[0].order()
-    with pytest.raises(SylowSystemError):
-        verify_sylow_system(corrupted)
-
-
-def test_hall_chain_mismatch_raises_system_error():
-    cg = build(parse_expr("W(C(5,1),W(C(2,1),C(3,1)))"))
-    bad_pcgs, pair = _corrupt_by_conjugation(cg)
-    corrupted = ConstructedGroup(cg.group, cg.expr, bad_pcgs)
-    with pytest.raises(SylowSystemError):
-        hall_subgroup(corrupted, pair)
+    words = [g.images for g in cg.group.generators]
+    words += [compose_arrays(a, b) for a, b in itertools.product(words, words)]
+    for (p, q), x in itertools.product(
+            itertools.combinations(cg.primes, 2), words):
+        x_inv = invert_array(x)
+        conj = [compose_arrays(compose_arrays(x_inv, g), x) for g in seeds[q]]
+        if build_chain(cg.degree, seeds[p] + conj)[0].order() != \
+                p_part(factored, (p, q)):
+            break
+    else:
+        raise AssertionError("no permutability-breaking conjugate found")
+    unseeded = lower_nilpotent_series(cg.group)
+    seeded = lower_nilpotent_series(cg.group,
+                                    system_gens={**seeds, q: conj})
+    assert [T.order for T in seeded.terms] == \
+        [T.order for T in unseeded.terms]
+    assert all(unseeded.terms[1].contains(g)
+               for g in seeded.terms[1].generators)

@@ -4,11 +4,10 @@ Random expressions are drawn over seven small leaves with D, W and WR,
 and kept when the group has order at most 2000 and degree at most 64.
 Order and degree are computed here, independently of fitlen, so the
 filter never asks fitlen to evaluate an oversized expression.  WR is
-drawn only over a leaf top: `expr_order` and `expr_degree` still
-evaluate exponent towers exactly when called directly (an open defect
-noted in CHANGES.md), and a regular action over a leaf keeps every
-exponent small.  Every Hall chain of every drawn group is also checked
-against an exact build.
+drawn only over a leaf top, which keeps every exponent small;
+`expr_order` and `expr_degree` raise UsageError on an exponent tower.
+Every Hall chain of every drawn group is also checked to be
+Schreier-complete with the order the expression gives.
 """
 
 import pytest

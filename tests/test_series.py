@@ -201,34 +201,38 @@ def test_h_of_direct_product_is_max(catalog):
 
 
 
-# Hall generator lists come from a batched chain build, which can keep an
-# entry that the elements before it already generate: in ex33 the 5-part
-# of the (3,5)-join holds three coordinate generators that the 3-part
-# conjugates into one another.  Pinned exactly, so that a new redundant
-# list fails the test and a fixed one asks for this table to shrink.
-KNOWN_REDUNDANT_HALL = {("ex33", (3, 5)): 2}
+def _redundant(T):
+    return len(T.generators) - len(T.reduced().generators)
+
+
+def _hall_subgroups(cg):
+    from itertools import combinations
+
+    from fitlen.hall import hall_subgroup
+
+    for size in range(1, cg.num_primes + 1):
+        for sigma in combinations(cg.primes, size):
+            yield sigma, hall_subgroup(cg, sigma)
 
 
 @pytest.mark.parametrize("name", ["ex32a", "ex33"])
 def test_series_generator_lists_are_irredundant(catalog, name):
     # the series use generator lists as given, so a redundant list costs
     # conjugation work that generator slimming used to remove
-    from itertools import combinations
-
-    from fitlen.hall import hall_subgroup
-
     cg = catalog[name]
+    for sigma, H in _hall_subgroups(cg):
+        assert _redundant(H) == 0, sigma
+        system = {p: [g.images for g in cg.system[p]] for p in sigma}
+        for series in (derived_series(H),
+                       lower_nilpotent_series(H),
+                       lower_nilpotent_series(H, system_gens=system)):
+            for i, T in enumerate(series.terms[1:], 1):
+                assert _redundant(T) == 0, (sigma, series.kind, i)
 
-    def redundant(T):
-        return len(T.generators) - len(T.reduced().generators)
 
-    for size in range(1, cg.num_primes + 1):
-        for sigma in combinations(cg.primes, size):
-            H = hall_subgroup(cg, sigma)
-            assert redundant(H) == KNOWN_REDUNDANT_HALL.get((name, sigma), 0), sigma
-            system = {p: [g.images for g in cg.system[p]] for p in sigma}
-            for series in (derived_series(H),
-                           lower_nilpotent_series(H),
-                           lower_nilpotent_series(H, system_gens=system)):
-                for i, T in enumerate(series.terms[1:], 1):
-                    assert redundant(T) == 0, (sigma, series.kind, i)
+def test_hall_lists_of_a_four_prime_group_are_irredundant():
+    from fitlen.construct import build, parse_expr
+
+    cg = build(parse_expr("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"))
+    for sigma, H in _hall_subgroups(cg):
+        assert _redundant(H) == 0, sigma
