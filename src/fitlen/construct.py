@@ -214,9 +214,9 @@ class ConstructedGroup:
 
     hall_generators(sigma) lists image arrays that generate a Hall
     sigma-subgroup, built by the recursion that built the group's own
-    generator list, hall_generators(None).  Creation builds the group's
-    chain exactly from that list and requires its order to equal the
-    expression's order formula.
+    generator list, hall_generators(None).  When the expression is
+    known, creation builds the group's chain exactly and requires its
+    order to equal the expression's order formula.
     """
 
     group: PermGroup
