@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from fitlen.chain import build_chain
-from fitlen.construct import hall_chain
+from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.errors import ContainmentError, DegreeMismatchError
 from fitlen.group import PermGroup, factorize
 from fitlen.perms import Permutation, parse_cycles
@@ -171,6 +172,11 @@ def _chain_digest(chain, kept):
     return h.hexdigest()
 
 
+@cache
+def _w4():
+    return build(parse_expr("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"))
+
+
 def _pinned_chains(catalog):
     """(name, chain, kept) for every chain whose digest is pinned."""
     for name in sorted(catalog):
@@ -189,11 +195,14 @@ def _pinned_chains(catalog):
             for i, T in enumerate(series.terms):
                 yield ("%s/%s/%d" % (label, name, i), T.chain,
                        [g.images for g in T.generators])
-    cg = catalog["ex33"]
-    for size in range(1, cg.num_primes + 1):
-        for sigma in combinations(cg.primes, size):
-            chain, kept = hall_chain(cg, sigma)
-            yield "hall/ex33/" + ",".join(map(str, sigma)), chain, kept
+    # every Hall chain of ex33 (three primes) and the 14 proper ones of
+    # the four-prime group that the benchmark's check-wide-w4 runs
+    for name, cg in (("ex33", catalog["ex33"]), ("w4", _w4())):
+        for size in (1, 2, 3):
+            for sigma in combinations(cg.primes, size):
+                chain, kept = hall_chain(cg, sigma)
+                yield ("hall/%s/%s" % (name, ",".join(map(str, sigma))),
+                       chain, kept)
 
 
 def _assert_schreier_complete(chain):

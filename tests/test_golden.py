@@ -16,6 +16,7 @@ import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EX32A = "W(C(2,1),W(C(3,1),C(5,1)))"
+W4 = "W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"
 
 CASES = {
     "build_w2w35": ("build", EX32A),
@@ -25,6 +26,8 @@ CASES = {
     "frak_w2w35_size2": ("frak", EX32A, "--size", "2"),
     "covers_w2w35": ("covers", EX32A),
     "example_3.3": ("example", "3.3"),
+    # four primes, 14 proper Hall subgroups: the benchmark's check-wide-w4
+    "check_w4": ("check", W4),
     # the two arithmetic-only paths: a family beyond its group-level
     # scale, and the four-prime example that has no group at all
     "example_3.2a_ell2": ("example", "3.2a", "--ell", "2"),
