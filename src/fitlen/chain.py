@@ -12,13 +12,18 @@ identity; its orbit product is then the group's order.  Every chain
 here is built that way, so every order it reports is proved.
 
 Verification scans levels deepest first, and finishes every level
-below L before it scans level L.  That order makes one kind of pair
-redundant: when a strong generator s of level L fixes the base point
-b_L, the Schreier generator of the pair (b_L, s) is s itself, and s is
-also a strong generator of level L+1, because a residue is stored on
-every level down to the first base point it moves.  Level L+1 is
-verified, so s sifts to the identity there, and the pair is skipped
-without a sift.  Identity tests compare an array's raw bytes with the
+below L before it scans level L.  That order lets one rule skip most
+Schreier pairs on groups built from blocks.  Every strong generator and
+every transversal element carries its support (the points it moves) as
+a bit mask; the identity representative of level L gets the mask of b_L
+alone.  A pair (u, s) is skipped when the masks of u and s are disjoint.
+Proof: u moves b_L unless it is the identity, so either way s fixes b_L
+and u(b_L).  The representative of the image of u(b_L) under s is then
+u itself, and the Schreier generator is u s u^-1 = s, since disjoint
+permutations commute.  A residue is stored on every level down to the
+first base point it moves, so s, which fixes b_L, is also a strong
+generator of level L+1.  That level is verified, so s sifts to the
+identity there.  Identity tests compare an array's raw bytes with the
 chain's identity image.
 """
 
@@ -28,12 +33,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .perms import _arange, invert_array
+from .perms import _arange, invert_array, support_mask
 
 
 class _Level:
-    __slots__ = ("point", "gens", "orbit", "pos", "trans", "trans_inv",
-                 "proc", "vdone", "vscan")
+    __slots__ = ("point", "gens", "gsupp", "orbit", "pos", "trans",
+                 "trans_inv", "tsupp", "proc", "vdone", "vscan")
 
     def __init__(self, point: int, degree: int):
         ident = _arange(degree)
@@ -43,6 +48,10 @@ class _Level:
         self.pos: dict[int, int] = {point: 0}
         self.trans: list[np.ndarray] = [ident]
         self.trans_inv: list[np.ndarray] = [ident]
+        # support masks of gens and trans; the identity representative
+        # gets the base point's bit (see the module docstring)
+        self.gsupp: list[int] = []
+        self.tsupp: list[int] = [1 << point]
         # orbit positions already expanded against the first proc[i] gens
         self.proc: list[int] = [0]
         # Schreier pairs (i, j) with j < vdone[i] are verified
@@ -142,14 +151,16 @@ class StabilizerChain:
     def _insert(self, arr: np.ndarray, lo: int, hi: int) -> None:
         # arr fixes the base points of all levels before hi and is new
         # at every level in lo..hi.
+        mask = support_mask(arr)
         if hi == len(self.levels):
-            moved = int(np.flatnonzero(arr != _arange(self.degree))[0])
+            moved = (mask & -mask).bit_length() - 1  # first point arr moves
             self.levels.append(_Level(moved, self.degree))
             self._base = np.array([lv.point for lv in self.levels], dtype=np.intp)
         arr.setflags(write=False)
         for k in range(lo, hi + 1):
             lv = self.levels[k]
             lv.gens.append(arr)
+            lv.gsupp.append(mask)
             lv.vscan = 0
             self._extend_orbit(lv)
 
@@ -172,6 +183,7 @@ class StabilizerChain:
                         w = g[u]
                         w.setflags(write=False)
                         trans.append(w)
+                        lv.tsupp.append(support_mask(w))
                         wi = invert_array(w)
                         wi.setflags(write=False)
                         trans_inv.append(wi)
@@ -188,28 +200,27 @@ class StabilizerChain:
             # residues go to levels below i, so this level's orbit and
             # generators stay fixed while its pending pairs are scanned
             lv = levels[i]
-            point, gens, pos = lv.point, lv.gens, lv.pos
-            trans, trans_inv, vdone = lv.trans, lv.trans_inv, lv.vdone
+            point, gens, gsupp, pos = lv.point, lv.gens, lv.gsupp, lv.pos
+            trans, trans_inv, tsupp = lv.trans, lv.trans_inv, lv.tsupp
+            vdone = lv.vdone
             ngens = len(gens)
             residue = None
             p = lv.vscan
             while p < len(trans):
                 u = trans[p]
+                umask = tsupp[p]
                 g = vdone[p]
                 while g < ngens:
-                    s = gens[g]
-                    # (b_L, s) with s(b_L) = b_L: the Schreier generator
-                    # is s, a strong generator of the verified level
-                    # below, so it sifts to the identity
-                    if p == 0 and s[point] == point:
-                        g += 1
-                        continue
-                    w = s[u]
-                    schreier = trans_inv[pos[int(w[point])]][w]
-                    if schreier.tobytes() != ident:
-                        residue, stuck = self.sift(schreier, i + 1)
-                        if residue is not None:
-                            break
+                    # with disjoint supports the Schreier generator is
+                    # gens[g], a strong generator of the verified level
+                    # below, so the pair is skipped
+                    if gsupp[g] & umask:
+                        w = gens[g][u]
+                        schreier = trans_inv[pos[int(w[point])]][w]
+                        if schreier.tobytes() != ident:
+                            residue, stuck = self.sift(schreier, i + 1)
+                            if residue is not None:
+                                break
                     g += 1
                 vdone[p] = g
                 if residue is not None:

@@ -55,6 +55,12 @@ def invert_array(a: np.ndarray) -> np.ndarray:
     return inv
 
 
+def support_mask(a: np.ndarray) -> int:
+    """The points a moves, as the set bits of an int (bit i is point i)."""
+    moved = np.packbits(a != _arange(a.size), bitorder="little")
+    return int.from_bytes(moved.tobytes(), "little")
+
+
 def is_identity_array(a: np.ndarray) -> bool:
     return bool((a == _arange(a.size)).all())
 

@@ -18,6 +18,14 @@ Implementation notes, since the large examples live or die here:
   seed set for the next step only needs the previous step's surviving
   seeds, not the full generator list its chain accumulated.
 
+* Disjoint supports settle two kinds of seed in advance.  Permutations
+  that move disjoint point sets commute, so their commutator is the
+  identity and _commutators skips the pair without composing it.  For
+  the same reason, conjugating a frontier element x by a conjugator
+  disjoint from x gives x back, which the closure has already seen, so
+  _closure skips it.  Neither skip changes a kept list: each skipped
+  element could only be the identity or an element already seen.
+
 * Generator lists are used as given, never slimmed.  A closure keeps a
   conjugate only when it strictly enlarges a fully verified chain, so
   no kept generator lies in the group of those before it: the list is
@@ -40,7 +48,8 @@ from .chain import StabilizerChain
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ContainmentError, NotSolubleError
 from .group import PermGroup
-from .perms import Permutation, compose_arrays, invert_array
+from .perms import (Permutation, _arange, compose_arrays, invert_array,
+                    support_mask)
 
 
 @dataclass(frozen=True)
@@ -54,16 +63,23 @@ class SubgroupSeries:
 
 
 def _commutators(left: Sequence[np.ndarray], right: Sequence[np.ndarray]):
-    """[x, t] = x^-1 t^-1 x t (applied left to right) for every pair.
+    """[x, t] = x^-1 t^-1 x t (applied left to right) for every pair,
+    skipping the pairs whose commutator is the identity.
 
     Each factor is inverted once, so a step over m left and n right
-    generators makes m + n inversions instead of 2mn.
+    generators makes m + n inversions instead of 2mn.  Pairs with
+    disjoint supports commute and are skipped before any composition.
     """
-    right_pairs = [(t, invert_array(t)) for t in right]
+    right_items = [(t, invert_array(t), support_mask(t)) for t in right]
     for x in left:
+        ident = _arange(x.size).tobytes()
         x_inv = invert_array(x)
-        for t, t_inv in right_pairs:
-            yield t[x[t_inv[x_inv]]]
+        x_mask = support_mask(x)
+        for t, t_inv, t_mask in right_items:
+            if x_mask & t_mask:
+                c = t[x[t_inv[x_inv]]]
+                if c.tobytes() != ident:
+                    yield c
 
 
 def _closure(degree: int, seeds: Iterable[np.ndarray],
@@ -95,12 +111,16 @@ def _closure(degree: int, seeds: Iterable[np.ndarray],
             kept.append(s)
             kept_seeds.append(s)
             frontier.append(s)
-    pairs = [(c, invert_array(c)) for c in conjugators]
+    conj_items = [(c, invert_array(c), support_mask(c)) for c in conjugators]
     qi = 0
     while qi < len(frontier):
         x = frontier[qi]
+        x_mask = support_mask(x)
         qi += 1
-        for c, c_inv in pairs:
+        for c, c_inv, c_mask in conj_items:
+            # a conjugator disjoint from x gives x back, which seen holds
+            if not x_mask & c_mask:
+                continue
             y = compose_arrays(compose_arrays(c_inv, x), c)
             key = y.tobytes()
             if key in seen:

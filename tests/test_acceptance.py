@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a verdict.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines; criterion 4 needs `--runslow` (extended budget, around three
-minutes on a 2-core host against its thirty-minute ceiling).
+lines; criterion 4 needs `--runslow` (extended budget, 35–50 s on a 2-core
+host against its thirty-minute ceiling).
 """
 
 import itertools

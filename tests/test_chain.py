@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import random
-from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -13,7 +12,7 @@ from fitlen.chain import build_chain
 from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.errors import ContainmentError, DegreeMismatchError
 from fitlen.group import PermGroup, factorize
-from fitlen.perms import Permutation, parse_cycles
+from fitlen.perms import Permutation, parse_cycles, support_mask
 from fitlen.series import (derived_series, lower_central_series,
                            lower_nilpotent_series)
 
@@ -172,12 +171,13 @@ def _chain_digest(chain, kept):
     return h.hexdigest()
 
 
-@cache
-def _w4():
+@pytest.fixture(scope="module")
+def w4():
+    """The four-prime group of the benchmark's check-wide-w4."""
     return build(parse_expr("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"))
 
 
-def _pinned_chains(catalog):
+def _pinned_chains(catalog, w4):
     """(name, chain, kept) for every chain whose digest is pinned."""
     for name in sorted(catalog):
         cg = catalog[name]
@@ -197,7 +197,7 @@ def _pinned_chains(catalog):
                        [g.images for g in T.generators])
     # every Hall chain of ex33 (three primes) and the 14 proper ones of
     # the four-prime group that the benchmark's check-wide-w4 runs
-    for name, cg in (("ex33", catalog["ex33"]), ("w4", _w4())):
+    for name, cg in (("ex33", catalog["ex33"]), ("w4", w4)):
         for size in (1, 2, 3):
             for sigma in combinations(cg.primes, size):
                 chain, kept = hall_chain(cg, sigma)
@@ -208,8 +208,9 @@ def _pinned_chains(catalog):
 def _assert_schreier_complete(chain):
     """Sift every Schreier generator of every level; all must vanish.
 
-    Unlike the builder, this also sifts the base-point pairs (b_L, s)
-    with s(b_L) = b_L that verification skips, so it certifies that
+    Unlike the builder, this also sifts the pairs (u, s) whose support
+    masks are disjoint, which verification skips; that includes every
+    base-point pair (b_L, s) with s(b_L) = b_L.  So it certifies that
     skipping them lost nothing.  Returns the number of generators sifted.
     """
     ident = np.arange(chain.degree)
@@ -227,13 +228,48 @@ def _assert_schreier_complete(chain):
     return count
 
 
-def test_pinned_chains_are_unchanged(catalog):
+def test_pinned_chains_are_unchanged(catalog, w4):
     expected = json.loads(PINS.read_text())
     got = {name: _chain_digest(chain, kept)
-           for name, chain, kept in _pinned_chains(catalog)}
+           for name, chain, kept in _pinned_chains(catalog, w4)}
     assert got == expected
 
 
-def test_pinned_chains_are_schreier_complete(catalog):
+def test_pinned_chains_are_schreier_complete(catalog, w4):
     assert sum(_assert_schreier_complete(chain)
-               for _, chain, _ in _pinned_chains(catalog)) > 0
+               for _, chain, _ in _pinned_chains(catalog, w4)) > 0
+
+
+def _skipped_pairs(chain):
+    """(level, u, s) for every Schreier pair that verification skips.
+
+    Also checks the masks the skip reads: each strong generator's and
+    each non-identity representative's is its support, and the identity
+    representative's is its level's base point.
+    """
+    for i, lv in enumerate(chain.levels):
+        assert lv.tsupp[0] == 1 << lv.point
+        for p, u in enumerate(lv.trans):
+            if p:
+                assert lv.tsupp[p] == support_mask(u)
+        for g, s in enumerate(lv.gens):
+            assert lv.gsupp[g] == support_mask(s)
+            for p, u in enumerate(lv.trans):
+                if not lv.gsupp[g] & lv.tsupp[p]:
+                    yield i, u, s
+
+
+def test_skipped_pairs_are_strong_generators_below(catalog, w4):
+    # the skip is sound only because the Schreier generator of a skipped
+    # pair is s and _insert stored s on level L+1 as well
+    skipped = 0
+    for name, chain, _ in _pinned_chains(catalog, w4):
+        gens = [{g.tobytes() for g in lv.gens} for lv in chain.levels] + [set()]
+        for i, u, s in _skipped_pairs(chain):
+            w = s[u]
+            lv = chain.levels[i]
+            schreier = lv.trans_inv[lv.pos[int(w[lv.point])]][w]
+            assert schreier.tobytes() == s.tobytes(), (name, i)
+            assert s.tobytes() in gens[i + 1], (name, i)
+            skipped += 1
+    assert skipped > 0

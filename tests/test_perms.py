@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from fitlen.errors import DegreeMismatchError, NotAPermutationError, UsageError
-from fitlen.perms import Permutation, compose, parse_cycles
+from fitlen.perms import Permutation, compose, parse_cycles, support_mask
 
 
 def test_identity_composition():
@@ -85,3 +86,15 @@ def test_hash_consistency():
 def test_from_cycles_zero_based():
     g = Permutation.from_cycles([(0, 1, 2)], 4)
     assert list(g.images) == [1, 2, 0, 3]
+
+
+@pytest.mark.parametrize("degree", [1, 7, 8, 9, 210])
+def test_support_mask_matches_moved_points(degree):
+    # degrees on both sides of a byte boundary, and the benchmark's 210
+    rng = np.random.default_rng(degree)
+    ident = np.arange(degree)
+    last_two = ident.copy()
+    last_two[-2:] = last_two[-2:][::-1]
+    for arr in [ident, last_two] + [rng.permutation(degree) for _ in range(20)]:
+        moved = np.flatnonzero(arr != ident)
+        assert support_mask(arr) == sum(1 << int(i) for i in moved)
