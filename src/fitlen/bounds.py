@@ -15,12 +15,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
 from .construct import ConstructedGroup
 from .errors import UsageError
 from .hall import HallProfile, hall_derived_length, hall_profile
 
 PrimeSet = tuple[int, ...]
+
+# Largest ground set (number of primes) whose covers are enumerated.
+COVER_GROUND_LIMIT = 6
 
 
 def _canon(subset: Iterable[int]) -> PrimeSet:
@@ -75,8 +77,7 @@ def make_cover(subsets: Sequence[Iterable[int]], ground: Iterable[int]) -> Cover
 
 
 def enumerate_covers(ground: Iterable[int], t: int,
-                     include_degenerate: bool = True,
-                     limits: Limits = DEFAULT_LIMITS) -> list[Cover]:
+                     include_degenerate: bool = True) -> list[Cover]:
     """All covers of the given order, each family emitted exactly once.
 
     Members correspond to pairwise-disjoint complements, so the walk
@@ -88,10 +89,10 @@ def enumerate_covers(ground: Iterable[int], t: int,
     w = len(ground_t)
     if t < 3:
         raise UsageError("a cover needs order at least 3, got %d" % t)
-    if w > limits.cover_ground_limit:
+    if w > COVER_GROUND_LIMIT:
         raise UsageError(
             "cover enumeration capped at ground sets of size %d"
-            % limits.cover_ground_limit)
+            % COVER_GROUND_LIMIT)
     if w == 0:
         return []
     masks = list(range(1, 1 << w))
@@ -268,8 +269,7 @@ def _fmt_set(sigma: Iterable[int]) -> str:
     return "{" + ",".join(str(p) for p in sigma) + "}" if sigma else "{}"
 
 
-def check_all(cg: ConstructedGroup, t_max: Optional[int] = None,
-              limits: Limits = DEFAULT_LIMITS) -> BoundReport:
+def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
     """Evaluate every applicable bound against the measured h(G).
 
     Hypothesis failures (too few primes, no covers of the requested
@@ -291,15 +291,15 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None,
         needed = [()]
         needed += [c for size in (1, 2, w - 2, w - 1, w)
                    for c in combinations(primes, size)]
-    profile = hall_profile(cg, needed, limits)
+    profile = hall_profile(cg, needed)
     h_actual = profile.h(primes)
 
     entries: list[BoundEntry] = []
 
     # cover-weight bounds, exhaustively over enumerable covers
-    if w >= 2 and w <= limits.cover_ground_limit:
+    if 2 <= w <= COVER_GROUND_LIMIT:
         for t in range(3, t_max + 1):
-            for cover in enumerate_covers(primes, t, True, limits):
+            for cover in enumerate_covers(primes, t):
                 if any(m not in profile for m in cover.members):
                     continue
                 theta = weight(cover, profile)
@@ -372,7 +372,7 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None,
                 tau = tuple(r for r in primes if r not in sigma)
                 h_a = profile.h(sigma)
                 h_b = profile.h(tau)
-                d_b = hall_derived_length(cg, tau, limits)
+                d_b = hall_derived_length(cg, tau)
                 entries.append(_entry(
                     "two-factor",
                     "A=%s B=%s dB=%d" % (_fmt_set(sigma), _fmt_set(tau), d_b),

@@ -13,15 +13,14 @@ theorems.  A failed order check leaves stdout empty.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .bounds import check_all
-from .config import DEFAULT_LIMITS
+from .bounds import check_all, enumerate_covers
+from .config import DEFAULT_LIMITS, Limits
 from .construct import (NATURAL, REGULAR, Cyclic, Direct, Iterated, Wreath,
                         build, expr_to_text, parse_expr)
 from .errors import FitlenError, SylowSystemError, UsageError
@@ -147,9 +146,7 @@ def _head(doc: Document, command: str, args) -> None:
 
 
 def _limits(args):
-    return dataclasses.replace(DEFAULT_LIMITS,
-                               max_degree=args.max_degree,
-                               oracle_cap=args.oracle_cap)
+    return Limits(max_degree=args.max_degree, oracle_cap=args.oracle_cap)
 
 
 def _build_from_args(args, text: Optional[str] = None):
@@ -186,7 +183,7 @@ def cmd_build(args, doc: Document, timer: _Timer) -> int:
 def cmd_fitting(args, doc: Document, timer: _Timer) -> int:
     cg = _build_from_args(args)
     timer.mark("build")
-    profile = hall_profile(cg, [cg.primes], _limits(args))
+    profile = hall_profile(cg, [cg.primes])
     doc.add("degree", cg.degree)
     doc.add("order", cg.order)
     doc.add("h", profile.h(cg.primes))
@@ -200,7 +197,7 @@ def cmd_hall(args, doc: Document, timer: _Timer) -> int:
     sigma = _parse_sigma(args.sigma)
     key = canonical_sigma(cg, sigma)
     sub = hall_subgroup(cg, sigma)
-    profile = hall_profile(cg, [sigma], _limits(args))
+    profile = hall_profile(cg, [sigma])
     doc.add("sigma", _sigma_text(sigma))
     doc.add("sigma-effective", _sigma_text(key))
     doc.add("hall-order", sub.order)
@@ -215,7 +212,7 @@ def cmd_frak(args, doc: Document, timer: _Timer) -> int:
         raise UsageError("frak needs a subset size (--size N or --ell N)")
     cg = _build_from_args(args)
     timer.mark("build")
-    value = frak_h(cg, size, _limits(args))
+    value = frak_h(cg, size)
     doc.add("subset-size", size)
     doc.add("frak-h", value)
     timer.mark("frak")
@@ -223,8 +220,6 @@ def cmd_frak(args, doc: Document, timer: _Timer) -> int:
 
 
 def cmd_covers(args, doc: Document, timer: _Timer) -> int:
-    from .bounds import enumerate_covers
-
     cg = _build_from_args(args)
     timer.mark("build")
     doc.add("primes", _sigma_text(cg.primes))
@@ -233,7 +228,7 @@ def cmd_covers(args, doc: Document, timer: _Timer) -> int:
     doc.table(["t", "members", "degenerate"])
     count = 0
     for t in range(3, t_max + 1):
-        for cover in enumerate_covers(cg.primes, t, True, _limits(args)):
+        for cover in enumerate_covers(cg.primes, t):
             doc.row(t, str(cover), "yes" if cover.degenerate else "no")
             count += 1
     doc.add("covers", count)
@@ -258,7 +253,7 @@ def cmd_check(args, doc: Document, timer: _Timer) -> int:
     cg = _build_from_args(args)
     timer.mark("build")
     _describe_group(doc, cg)
-    report = check_all(cg, t_max=args.t_max, limits=_limits(args))
+    report = check_all(cg, t_max=args.t_max)
     timer.mark("check")
     _emit_bound_report(doc, report)
     return OK if report.overall_pass else VIOLATION_EXIT
@@ -338,7 +333,7 @@ def cmd_example(args, doc: Document, timer: _Timer) -> int:
     primes = cg.primes
     complements = {p: tuple(q for q in primes if q != p) for p in primes}
     subsets = [primes] + [complements[p] for p in primes]
-    profile = hall_profile(cg, subsets, _limits(args))
+    profile = hall_profile(cg, subsets)
     timer.mark("profile")
     measured = {"h": profile.h(primes)}
     for p in primes:
@@ -350,7 +345,7 @@ def cmd_example(args, doc: Document, timer: _Timer) -> int:
     for name, want in claims.items():
         doc.row(name, want, measured[name],
                 "MISMATCH" if name in mismatched else "ok")
-    report = check_all(cg, t_max=args.t_max, limits=_limits(args))
+    report = check_all(cg, t_max=args.t_max)
     timer.mark("check")
     doc.add("bounds-overall", "pass" if report.overall_pass else "VIOLATION")
     for e in report.violations:
@@ -424,8 +419,7 @@ def cmd_conjecture(args, doc: Document, timer: _Timer) -> int:
         if None in (args.n1, args.n2, args.n3):
             raise UsageError("triple-product mode needs --n1, --n2 and --n3")
         rep = check_nilpotent_triple_product(
-            T, gens_of(args.n1), gens_of(args.n2), gens_of(args.n3),
-            _limits(args))
+            T, gens_of(args.n1), gens_of(args.n2), gens_of(args.n3))
         doc.add("kind", "nilpotent-triple-product")
         doc.add("orders", ",".join(str(o) for o in rep.orders))
         doc.add("triple-product-order", rep.triple_product_order)
@@ -441,8 +435,7 @@ def cmd_conjecture(args, doc: Document, timer: _Timer) -> int:
         if None in (args.H, args.K, args.L):
             raise UsageError("trifactorization mode needs --H, --K and --L")
         rep = check_trifactorization(
-            T, gens_of(args.H), gens_of(args.K), gens_of(args.L),
-            _limits(args))
+            T, gens_of(args.H), gens_of(args.K), gens_of(args.L))
         doc.add("kind", "trifactorization")
         doc.add("orders", ",".join(str(o) for o in rep.orders))
         doc.add("product-orders", ",".join(str(o) for o in rep.product_orders))

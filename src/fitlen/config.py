@@ -1,4 +1,9 @@
-"""Resource limits shared by builders, series computations and the oracle."""
+"""The two budgets that bound a run's work, set by --max-degree and --oracle-cap.
+
+No other limit is needed for termination: every series stops when a
+step fails to shrink the group, so it has at most log2|G| terms, and
+every oracle computation works inside one enumerated group.
+"""
 
 from dataclasses import dataclass
 
@@ -7,14 +12,9 @@ from dataclasses import dataclass
 class Limits:
     # Largest permutation degree any construction may produce.
     max_degree: int = 4096
-    # Largest group the brute-force oracle will enumerate.
+    # Largest group the brute-force oracle will enumerate; it also bounds
+    # the work of a product set inside an enumerated T, at most 2|T|.
     oracle_cap: int = 20000
-    # Largest |H|*|K| the product-set counter will accept.
-    pair_budget: int = 10_000_000
-    # Ceiling on series steps before input is declared not soluble.
-    series_step_limit: int = 256
-    # Largest ground-set size for exhaustive cover enumeration.
-    cover_ground_limit: int = 6
 
 
 DEFAULT_LIMITS = Limits()

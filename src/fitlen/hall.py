@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
 from .construct import ConstructedGroup, hall_chain
 from .errors import ProfileMissingError, SylowSystemError, UsageError
 from .group import PermGroup, p_part
@@ -69,8 +68,7 @@ class HallProfile:
         return key in self.values
 
 
-def _profile_entry(cg: ConstructedGroup, key: PrimeSet,
-                   limits: Limits) -> int:
+def _profile_entry(cg: ConstructedGroup, key: PrimeSet) -> int:
     if key not in cg._h_cache:
         # one Sylow p-subgroup of G per prime in key seeds the first
         # nilpotent residual; the seeds need P_p <= H, which the
@@ -83,29 +81,27 @@ def _profile_entry(cg: ConstructedGroup, key: PrimeSet,
                     "%s: a Sylow %d-generator lies outside the Hall "
                     "{%s}-subgroup" % (cg.describe(), p,
                                        ",".join(map(str, key))))
-        cg._h_cache[key] = fitting_length(H, limits, system_gens=seeds)
+        cg._h_cache[key] = fitting_length(H, system_gens=seeds)
     return cg._h_cache[key]
 
 
-def hall_profile(cg: ConstructedGroup, subsets: Sequence[Iterable[int]],
-                 limits: Limits = DEFAULT_LIMITS) -> HallProfile:
+def hall_profile(cg: ConstructedGroup,
+                 subsets: Sequence[Iterable[int]]) -> HallProfile:
     """h(G_sigma) for each requested sigma, cached per canonical key."""
     keys = dict.fromkeys(canonical_sigma(cg, sigma) for sigma in subsets)
     return HallProfile(cg.primes,
-                       {key: _profile_entry(cg, key, limits) for key in keys})
+                       {key: _profile_entry(cg, key) for key in keys})
 
 
-def hall_derived_length(cg: ConstructedGroup, sigma: Iterable[int],
-                        limits: Limits = DEFAULT_LIMITS) -> int:
+def hall_derived_length(cg: ConstructedGroup, sigma: Iterable[int]) -> int:
     """d(G_sigma), cached like the Fitting-length profile."""
     key = canonical_sigma(cg, sigma)
     if key not in cg._d_cache:
-        cg._d_cache[key] = derived_length(hall_subgroup(cg, key), limits)
+        cg._d_cache[key] = derived_length(hall_subgroup(cg, key))
     return cg._d_cache[key]
 
 
-def frak_h(cg: ConstructedGroup, ell: int,
-           limits: Limits = DEFAULT_LIMITS) -> int:
+def frak_h(cg: ConstructedGroup, ell: int) -> int:
     """Largest h(G_sigma) over the prime sets of the given size."""
     w = cg.num_primes
     if not 0 <= ell <= w:
@@ -113,7 +109,7 @@ def frak_h(cg: ConstructedGroup, ell: int,
     if ell == 0:
         return 0
     subsets = list(combinations(cg.primes, ell))
-    profile = hall_profile(cg, subsets, limits)
+    profile = hall_profile(cg, subsets)
     return max(profile.h(sigma) for sigma in subsets)
 
 

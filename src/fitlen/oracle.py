@@ -191,8 +191,7 @@ def _bfs_closure(degree: int, gens: Sequence[Elem], cap: int) -> list[Elem]:
     return closure.elems
 
 
-def enumerate_group(G, limits: Limits = DEFAULT_LIMITS,
-                    cap: Optional[int] = None) -> TinyGroup:
+def enumerate_group(G, limits: Limits = DEFAULT_LIMITS) -> TinyGroup:
     """Enumerate a PermGroup (or generator list) by closure."""
     if isinstance(G, TinyGroup):
         return G
@@ -203,8 +202,8 @@ def enumerate_group(G, limits: Limits = DEFAULT_LIMITS,
         perms = tuple(G)
         degree = perms[0].degree if perms else 1
     gens = [tuple(int(x) for x in g.images) for g in perms]
-    cap = cap if cap is not None else limits.oracle_cap
-    return TinyGroup(degree, _bfs_closure(degree, gens, cap), gens)
+    return TinyGroup(degree, _bfs_closure(degree, gens, limits.oracle_cap),
+                     gens)
 
 
 def subgroup_closure(T: TinyGroup, gens: Sequence[Elem]) -> TinyGroup:
@@ -304,9 +303,12 @@ def quotient_by(T: TinyGroup, N: TinyGroup) -> TinyGroup:
     return TinyGroup(qdeg, elems, qgens)
 
 
-def fitting_length_upper(T: TinyGroup,
-                         limits: Limits = DEFAULT_LIMITS) -> int:
-    """Length of the upper Fitting series, via iterated quotients by F."""
+def fitting_length_upper(T: TinyGroup) -> int:
+    """Length of the upper Fitting series, via iterated quotients by F.
+
+    A trivial F raises, so every quotient is strictly smaller and the
+    loop ends after at most log2|T| steps.
+    """
     steps = 0
     current = T
     while current.order > 1:
@@ -316,8 +318,6 @@ def fitting_length_upper(T: TinyGroup,
                 "Fitting subgroup trivial at order %d" % current.order)
         current = quotient_by(current, F)
         steps += 1
-        if steps > limits.series_step_limit:
-            raise NotSolubleError("upper Fitting series exceeded step limit")
     return steps
 
 
@@ -378,19 +378,14 @@ def core_containment_holds(T: TinyGroup, sigma: Iterable[int],
 
 # -- product sets and the conjecture harness --------------------------------
 
-def product_set(H_elems: Sequence[Elem], K_elems: Sequence[Elem],
-                limits: Limits = DEFAULT_LIMITS) -> set[Elem]:
+def product_set(H_elems: Sequence[Elem], K_elems: Sequence[Elem]) -> set[Elem]:
     """The set of products hk; K_elems must list a subgroup K.
 
     HK is the union of the cosets hK, and an h already in HK lies in an
     earlier coset h'K, so hK = h'K adds nothing: each coset is formed
-    once, |HK| products in place of |H||K|.  The budget still bounds
-    the pairs.
+    once, |HK| products in place of |H||K|.  Inside an enumerated T the
+    work is at most |H| + |HK| <= 2|T|, which the oracle cap bounds.
     """
-    if len(H_elems) * len(K_elems) > limits.pair_budget:
-        raise OracleScaleError(
-            "product-set budget exceeded: %d * %d pairs"
-            % (len(H_elems), len(K_elems)))
     out: set[Elem] = set()
     for h in H_elems:
         if h not in out:
@@ -398,10 +393,9 @@ def product_set(H_elems: Sequence[Elem], K_elems: Sequence[Elem],
     return out
 
 
-def product_set_order(H: TinyGroup, K: TinyGroup,
-                      limits: Limits = DEFAULT_LIMITS) -> int:
+def product_set_order(H: TinyGroup, K: TinyGroup) -> int:
     """|HK| by hashed enumeration."""
-    return len(product_set(H.elements, K.elements, limits))
+    return len(product_set(H.elements, K.elements))
 
 
 @dataclass(frozen=True)
@@ -421,15 +415,14 @@ class TrifactorReport:
 def check_trifactorization(T: TinyGroup,
                            H_gens: Sequence[Elem],
                            K_gens: Sequence[Elem],
-                           L_gens: Sequence[Elem],
-                           limits: Limits = DEFAULT_LIMITS) -> TrifactorReport:
+                           L_gens: Sequence[Elem]) -> TrifactorReport:
     """G = HK = KL = LH harness; reports outcomes without asserting them."""
     H = subgroup_closure(T, H_gens)
     K = subgroup_closure(T, K_gens)
     L = subgroup_closure(T, L_gens)
-    hk = product_set_order(H, K, limits)
-    kl = product_set_order(K, L, limits)
-    lh = product_set_order(L, H, limits)
+    hk = product_set_order(H, K)
+    kl = product_set_order(K, L)
+    lh = product_set_order(L, H)
     met = hk == T.order and kl == T.order and lh == T.order
     all_nilp = all(is_nilpotent_tiny(X) for X in (H, K, L))
     h_values = None
@@ -437,7 +430,7 @@ def check_trifactorization(T: TinyGroup,
     holds = None
     kegel = None
     if met:
-        h_values = tuple(fitting_length_upper(X, limits) for X in (T, H, K, L))
+        h_values = tuple(fitting_length_upper(X) for X in (T, H, K, L))
         bound = h_values[1] + h_values[2] + h_values[3] - 2
         holds = h_values[0] <= bound
         if all_nilp:
@@ -472,19 +465,18 @@ class TriProductReport:
 def check_nilpotent_triple_product(T: TinyGroup,
                                    n1_gens: Sequence[Elem],
                                    n2_gens: Sequence[Elem],
-                                   n3_gens: Sequence[Elem],
-                                   limits: Limits = DEFAULT_LIMITS) -> TriProductReport:
+                                   n3_gens: Sequence[Elem]) -> TriProductReport:
     """G = N1 N2 N3 harness with pairwise-permutable nilpotent factors."""
     Ns = [subgroup_closure(T, g) for g in (n1_gens, n2_gens, n3_gens)]
     pair_sets = {}
     permutable = True
     for (i, j) in ((0, 1), (1, 2), (2, 0)):
-        ij = product_set(Ns[i].elements, Ns[j].elements, limits)
-        ji = product_set(Ns[j].elements, Ns[i].elements, limits)
+        ij = product_set(Ns[i].elements, Ns[j].elements)
+        ji = product_set(Ns[j].elements, Ns[i].elements)
         if ij != ji:
             permutable = False
         pair_sets[(i, j)] = ij
-    triple = product_set(sorted(pair_sets[(0, 1)]), Ns[2].elements, limits)
+    triple = product_set(sorted(pair_sets[(0, 1)]), Ns[2].elements)
     all_nilp = all(is_nilpotent_tiny(N) for N in Ns)
     met = permutable and all_nilp and len(triple) == T.order
     pair_h = None
@@ -496,10 +488,10 @@ def check_nilpotent_triple_product(T: TinyGroup,
         for (i, j) in ((0, 1), (1, 2), (2, 0)):
             sub = TinyGroup(T.degree, sorted(pair_sets[(i, j)]),
                             Ns[i].gens + Ns[j].gens)
-            hs.append(fitting_length_upper(sub, limits))
+            hs.append(fitting_length_upper(sub))
         pair_h = tuple(hs)
         bound = sum(hs) - 2
-        h_g = fitting_length_upper(T, limits)
+        h_g = fitting_length_upper(T)
         holds = h_g <= bound
     return TriProductReport(
         orders=(T.order, Ns[0].order, Ns[1].order, Ns[2].order),

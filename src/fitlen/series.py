@@ -6,6 +6,11 @@ residuals), which needs no quotient groups and therefore scales to the
 large-degree constructions; the brute-force oracle cross-checks it
 against the upper Fitting series on small groups.
 
+Every series stops at the first step that does not shrink its term.
+Each kept term's order properly divides the previous one, so a series
+of G has at most log2|G| + 1 terms.  A non-soluble group stops above
+order 1 and raises NotSolubleError.
+
 Implementation notes, since the large examples live or die here:
 
 * Every term of every series computed below is normal in the group the
@@ -45,7 +50,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .chain import StabilizerChain
-from .config import DEFAULT_LIMITS, Limits
 from .errors import ContainmentError, NotSolubleError
 from .group import PermGroup
 from .perms import (Permutation, _arange, compose_arrays, invert_array,
@@ -175,14 +179,16 @@ def _commutator_step(degree: int, left_normal_gens: Sequence[np.ndarray],
                     conjugators)
 
 
-def _descend(start, step, limits: Limits, what: str):
+def _descend(start, step):
     """Apply step from start until the group stops shrinking.
 
     start and every step result are (term, witness) pairs, the witness
     being normal generators of the term for the next step to start from.
     Returns the strictly descending terms and the last term's witness.
-    A trivial term ends the series without a further step; a series
-    longer than series_step_limit terms marks the input as not soluble.
+    A trivial term ends the series without a further step.  Each kept
+    term's order properly divides the one before, so a series of G has
+    at most log2|G| + 1 terms; a non-soluble input stops above order 1,
+    which _stops_at_one reports.
     """
     term, witness = start
     terms = [term]
@@ -192,8 +198,6 @@ def _descend(start, step, limits: Limits, what: str):
             break
         term, witness = nxt, nxt_witness
         terms.append(term)
-        if len(terms) > limits.series_step_limit:
-            raise NotSolubleError("%s exceeded step limit" % what)
     return terms, witness
 
 
@@ -205,18 +209,16 @@ def _stops_at_one(terms: list[PermGroup], what: str) -> tuple[PermGroup, ...]:
 
 # -- derived series ---------------------------------------------------------
 
-def derived_series(G: PermGroup,
-                   limits: Limits = DEFAULT_LIMITS) -> SubgroupSeries:
+def derived_series(G: PermGroup) -> SubgroupSeries:
     conj = _gen_arrays(G)
     terms, _ = _descend(
         (G, conj),
-        lambda T, x: _commutator_step(G.degree, x, _gen_arrays(T), conj),
-        limits, "derived series")
+        lambda T, x: _commutator_step(G.degree, x, _gen_arrays(T), conj))
     return SubgroupSeries("derived", _stops_at_one(terms, "derived series"))
 
 
-def derived_length(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> int:
-    return derived_series(G, limits).length
+def derived_length(G: PermGroup) -> int:
+    return derived_series(G).length
 
 
 # -- lower central series and the nilpotent residual ------------------------
@@ -233,26 +235,23 @@ def _central_step(N: PermGroup, conj: Sequence[np.ndarray]):
     return lambda L, x: _commutator_step(N.degree, x, right, conj)
 
 
-def lower_central_series(H: PermGroup,
-                         limits: Limits = DEFAULT_LIMITS) -> SubgroupSeries:
+def lower_central_series(H: PermGroup) -> SubgroupSeries:
     """L1 = H, L(k+1) = [Lk, H], stopping when the terms stabilize.
 
     The last term is the nilpotent residual of H.
     """
     conj = _gen_arrays(H)
-    terms, _ = _descend((H, conj), _central_step(H, conj), limits,
-                        "lower central series")
+    terms, _ = _descend((H, conj), _central_step(H, conj))
     return SubgroupSeries("lower_central", tuple(terms))
 
 
-def nilpotent_residual(H: PermGroup,
-                       limits: Limits = DEFAULT_LIMITS) -> PermGroup:
+def nilpotent_residual(H: PermGroup) -> PermGroup:
     """Stabilization term of the lower central series of H."""
-    return lower_central_series(H, limits).terms[-1]
+    return lower_central_series(H).terms[-1]
 
 
-def is_nilpotent(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> bool:
-    return nilpotent_residual(G, limits).order == 1
+def is_nilpotent(G: PermGroup) -> bool:
+    return nilpotent_residual(G).order == 1
 
 
 # -- lower nilpotent series and Fitting length -------------------------------
@@ -277,7 +276,6 @@ def _system_residual_seeds(system_gens: dict[int, Sequence[np.ndarray]]):
 
 
 def lower_nilpotent_series(G: PermGroup,
-                           limits: Limits = DEFAULT_LIMITS,
                            system_gens: Optional[dict] = None) -> SubgroupSeries:
     """N0 = G, N(i+1) = nilpotent residual of Ni, down to the trivial group.
 
@@ -291,16 +289,14 @@ def lower_nilpotent_series(G: PermGroup,
     def residual(N: PermGroup, x):
         if N is G and system_gens is not None:
             return _closure(G.degree, _system_residual_seeds(system_gens), conj)
-        terms, witness = _descend((N, x), _central_step(N, conj), limits,
-                                  "lower central series")
+        terms, witness = _descend((N, x), _central_step(N, conj))
         return terms[-1], witness
 
-    terms, _ = _descend((G, conj), residual, limits, "lower nilpotent series")
+    terms, _ = _descend((G, conj), residual)
     return SubgroupSeries("lower_nilpotent",
                           _stops_at_one(terms, "lower nilpotent series"))
 
 
-def fitting_length(G: PermGroup, limits: Limits = DEFAULT_LIMITS,
-                   system_gens: Optional[dict] = None) -> int:
+def fitting_length(G: PermGroup, system_gens: Optional[dict] = None) -> int:
     """Number of nilpotent-residual steps needed to reach the trivial group."""
-    return lower_nilpotent_series(G, limits, system_gens).length
+    return lower_nilpotent_series(G, system_gens).length

@@ -165,6 +165,18 @@ def test_conjecture_s3_instance():
     assert "hypothesis-met" in out
 
 
+def test_conjecture_with_all_three_factors_the_whole_group():
+    # |G| = 9604: the product sets of G with itself stay within the oracle cap
+    gens = ("(1 2 3 4 5 6 7);(1 8 15 22)(2 9 16 23)(3 10 17 24)"
+            "(4 11 18 25)(5 12 19 26)(6 13 20 27)(7 14 21 28)")
+    code, out, _ = run_cli("conjecture", "W(C(7,1),C(2,2))",
+                           "--H", gens, "--K", gens, "--L", gens,
+                           "--format", "kv")
+    assert code == 0
+    assert "hypothesis-met = True" in out
+    assert "h-values = 2,2,2,2" in out
+
+
 def test_example_claim_mismatch_exits_2(monkeypatch, capsys):
     from fitlen import cli
 

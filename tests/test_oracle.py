@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from conftest import brute_force_elements
 
+from fitlen.config import Limits
 from fitlen.construct import build, parse_expr
 from fitlen.errors import NotSolubleError, OracleScaleError
 from fitlen.group import PermGroup, factorize, p_part
@@ -44,7 +45,7 @@ def test_enumeration_cap():
     with pytest.raises(OracleScaleError):
         enumerate_group(PermGroup(8, [parse_cycles("(1 2)", 8),
                                       parse_cycles("(1 2 3 4 5 6 7 8)", 8)]),
-                        cap=1000)
+                        Limits(oracle_cap=1000))
 
 
 def test_cores(s4, s3):
@@ -172,14 +173,11 @@ def test_product_set_orders(s3):
     assert product_set_order(trivial, K) == 3
 
 
-def test_product_set_budget():
-    import dataclasses
-    from fitlen.config import DEFAULT_LIMITS
-    s4 = _tiny("(1 2)", "(1 2 3 4)", degree=4)
-    big = subgroup_closure(s4, s4.gens)
-    small = dataclasses.replace(DEFAULT_LIMITS, pair_budget=10)
-    with pytest.raises(OracleScaleError):
-        product_set_order(big, big, small)
+def test_product_set_of_a_group_near_the_oracle_cap():
+    # |G| * |G| = 9604^2 pairs, but each coset of G is formed once
+    T = enumerate_group(build(parse_expr("W(C(7,1),C(2,2))")).group)
+    assert T.order == 9604
+    assert product_set_order(T, T) == 9604
 
 
 def test_product_order_formula_sampled(oracle_catalog):

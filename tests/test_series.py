@@ -7,7 +7,7 @@ tiny groups involved; see test_oracle for the systematic sweeps.
 
 import pytest
 
-from fitlen.config import Limits
+from fitlen.construct import build, parse_expr
 from fitlen.errors import ContainmentError, NotSolubleError
 from fitlen.group import PermGroup
 from fitlen.perms import Permutation, parse_cycles
@@ -132,18 +132,14 @@ def test_not_soluble_raises():
         fitting_length(a5)
 
 
-def test_series_step_limit_raises(s4):
-    # S4 > A4 > V4 > 1 is both the derived and the lower nilpotent series
-    # of S4; D8 > C2 > 1 is the lower central series of the dihedral group
-    # of order 8.  Each is allowed exactly as many terms as it has.
-    d8 = PermGroup(4, [parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)", 4)])
-    for series, group in ((derived_series, s4), (lower_central_series, d8),
-                          (lower_nilpotent_series, s4)):
-        terms = len(series(group).terms)
-        assert terms == (3 if group is d8 else 4)
-        assert len(series(group, Limits(series_step_limit=terms)).terms) == terms
-        with pytest.raises(NotSolubleError, match="step limit"):
-            series(group, Limits(series_step_limit=terms - 1))
+def test_lower_central_series_of_sylow_2_subgroups():
+    # IT(C(2,1),k) is a Sylow 2-subgroup of Sym(2^k), of nilpotency class
+    # 2^(k-1) (Kaloujnine 1948), so its lower central series has
+    # 2^(k-1) + 1 terms; k = 2 is the dihedral group of order 8
+    for k in range(2, 7):
+        G = build(parse_expr("IT(C(2,1),%d)" % k)).group
+        assert len(lower_central_series(G).terms) == 2 ** (k - 1) + 1, k
+        assert is_nilpotent(G), k
 
 
 def test_system_seeded_residual_matches_generic(catalog):
