@@ -282,9 +282,9 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
     if t_max is None:
         t_max = w + 1
 
-    # profile every subset we may need: all of them up to w = 4, and the
-    # cover/complement shapes beyond that
-    if w <= 4:
+    # profile every subset we may need: all of them while covers are
+    # enumerated (any subset can be a member), the complement shapes beyond
+    if w <= COVER_GROUND_LIMIT:
         needed = [c for size in range(w + 1)
                   for c in combinations(primes, size)]
     else:
@@ -300,8 +300,6 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
     if 2 <= w <= COVER_GROUND_LIMIT:
         for t in range(3, t_max + 1):
             for cover in enumerate_covers(primes, t):
-                if any(m not in profile for m in cover.members):
-                    continue
                 theta = weight(cover, profile)
                 entries.append(_entry(
                     "cover-weight", "t=%d %s theta=%d" % (t, cover, theta),
@@ -309,8 +307,6 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
 
     # covering-triple specializations, one per unordered prime pair
     for p, q in combinations(primes, 2):
-        if w < 2:
-            break
         hp = profile.h(tuple(r for r in primes if r != p))
         hq = profile.h(tuple(r for r in primes if r != q))
         hpq = profile.h((p, q))

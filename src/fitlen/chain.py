@@ -1,11 +1,18 @@
 """Deterministic stabilizer chains (Schreier-Sims).
 
-The builder is fully deterministic: generators are processed in the
-order given, orbits in BFS discovery order, and Schreier generators in
-a fixed scan order, so identical input always yields an identical
-chain.  Verification work is tracked with per-level watermarks, which
-makes adding one generator to an already verified chain cheap; normal
-closures lean on that heavily.
+The builder is fully deterministic: generators are taken in the order
+given, orbits in BFS discovery order, and Schreier generators in a
+fixed scan order, so identical input always yields an identical chain.
+
+Adding one generator to an already verified chain is cheap, and normal
+closures lean on that heavily.  Between calls, every level's orbit is
+closed under all of that level's generators, so when a generator g is
+stored, the old orbit points are tried against g alone and only the
+points g adds are tried against every generator.  Each level also keeps
+its orbit as a bit mask.  When g's support misses that mask, g fixes
+every orbit point, so the orbit is already closed under g and the walk
+is skipped.  Schreier pairs already verified are remembered per orbit
+point in the same way.
 
 A chain is complete when every Schreier generator sifts to the
 identity; its orbit product is then the group's order.  Every chain
@@ -38,7 +45,7 @@ from .perms import _arange, invert_array, support_mask
 
 class _Level:
     __slots__ = ("point", "gens", "gsupp", "orbit", "pos", "trans",
-                 "trans_inv", "tsupp", "proc", "vdone", "vscan")
+                 "trans_inv", "tsupp", "omask", "vdone", "vscan")
 
     def __init__(self, point: int, degree: int):
         ident = _arange(degree)
@@ -46,14 +53,13 @@ class _Level:
         self.gens: list[np.ndarray] = []
         self.orbit: list[int] = [point]
         self.pos: dict[int, int] = {point: 0}
+        self.omask = 1 << point  # the orbit as a bit mask
         self.trans: list[np.ndarray] = [ident]
         self.trans_inv: list[np.ndarray] = [ident]
         # support masks of gens and trans; the identity representative
         # gets the base point's bit (see the module docstring)
         self.gsupp: list[int] = []
         self.tsupp: list[int] = [1 << point]
-        # orbit positions already expanded against the first proc[i] gens
-        self.proc: list[int] = [0]
         # Schreier pairs (i, j) with j < vdone[i] are verified
         self.vdone: list[int] = [0]
         self.vscan = 0
@@ -162,34 +168,32 @@ class StabilizerChain:
             lv.gens.append(arr)
             lv.gsupp.append(mask)
             lv.vscan = 0
-            self._extend_orbit(lv)
+            if mask & lv.omask:
+                self._extend_orbit(lv, arr)
 
-    def _extend_orbit(self, lv: _Level) -> None:
+    def _extend_orbit(self, lv: _Level, g: np.ndarray) -> None:
+        # the orbit is closed under every generator but g, which was
+        # just stored; the points g adds are tried against all of them
         orbit, pos, trans, trans_inv = lv.orbit, lv.pos, lv.trans, lv.trans_inv
-        gens, proc = lv.gens, lv.proc
+        old = len(orbit)
         i = 0
         while i < len(orbit):
-            start = proc[i]
-            ngens = len(gens)
-            if start < ngens:
-                pt = orbit[i]
-                u = trans[i]
-                for j in range(start, ngens):
-                    g = gens[j]
-                    img = int(g[pt])
-                    if img not in pos:
-                        pos[img] = len(orbit)
-                        orbit.append(img)
-                        w = g[u]
-                        w.setflags(write=False)
-                        trans.append(w)
-                        lv.tsupp.append(support_mask(w))
-                        wi = invert_array(w)
-                        wi.setflags(write=False)
-                        trans_inv.append(wi)
-                        proc.append(0)
-                        lv.vdone.append(0)
-                proc[i] = ngens
+            pt = orbit[i]
+            u = trans[i]
+            for h in (g,) if i < old else lv.gens:
+                img = int(h[pt])
+                if img not in pos:
+                    pos[img] = len(orbit)
+                    orbit.append(img)
+                    lv.omask |= 1 << img
+                    w = h[u]
+                    w.setflags(write=False)
+                    trans.append(w)
+                    lv.tsupp.append(support_mask(w))
+                    wi = invert_array(w)
+                    wi.setflags(write=False)
+                    trans_inv.append(wi)
+                    lv.vdone.append(0)
             i += 1
 
     def _verify(self) -> None:
@@ -240,7 +244,7 @@ def build_chain(degree: int, arrays: Iterable[np.ndarray]
     """Build a verified chain; also reports which inputs mattered.
 
     The second return value lists the indices of the generators that
-    were not sifted to the identity, in processing order; the others
+    were not sifted to the identity, in input order; the others
     are certainly redundant.
     """
     chain = StabilizerChain(degree)

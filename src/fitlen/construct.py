@@ -36,19 +36,27 @@ NATURAL = "natural"
 REGULAR = "regular"
 
 
+# Leaf primes must lie below this.  Miller-Rabin on _MR_BASES is exact
+# far beyond it: the smallest composite that passes for all twelve bases
+# is 318665857834031151167461, about 3.2 * 10**23.
+_LEAF_PRIME_LIMIT = 1 << 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for every n below 2^64."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    # n is a strong probable prime to base a when a^d = 1 or
+    # a^(d * 2^r) = -1 (mod n) for some r < s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1
+                                        for r in range(s))
+               for a in _MR_BASES)
 
 
 # -- expression trees ----------------------------------------------------
@@ -89,6 +97,8 @@ GroupExpr = Union[Cyclic, ElemAbelian, Direct, Wreath, Iterated]
 
 def validate_expr(expr: GroupExpr) -> None:
     if isinstance(expr, (Cyclic, ElemAbelian)):
+        if expr.p >= _LEAF_PRIME_LIMIT:
+            raise UsageError("leaf primes must be below 2^64")
         if not _is_prime(expr.p):
             raise UsageError("leaf prime %r is not prime" % (expr.p,))
         if expr.k < 1:
@@ -536,7 +546,11 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than the interpreter converts
+            digits, self.pos = self.pos - start, start
+            self.error("integer literal of %d digits is too long" % digits)
 
     def name(self) -> str:
         self.skip_ws()

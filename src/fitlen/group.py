@@ -10,33 +10,19 @@ from .chain import StabilizerChain, build_chain
 from .errors import ContainmentError, DegreeMismatchError
 from .perms import Permutation, _arange
 
-_SPF: list[int] = []  # smallest-prime-factor sieve, grown on demand
-
-
-def _smallest_prime_factors(limit: int) -> list[int]:
-    global _SPF
-    if len(_SPF) <= limit:
-        size = max(limit + 1, 4097)
-        spf = list(range(size))
-        for p in range(2, int(size ** 0.5) + 1):
-            if spf[p] == p:
-                for q in range(p * p, size, p):
-                    if spf[q] == q:
-                        spf[q] = p
-        _SPF = spf
-    return _SPF
-
-
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer (small enough to sieve)."""
+    """Prime factorization of a positive integer, by trial division."""
     if n < 1:
         raise ValueError("cannot factorize %d" % n)
-    spf = _smallest_prime_factors(n)
     out: dict[int, int] = {}
-    while n > 1:
-        p = spf[n]
-        out[p] = out.get(p, 0) + 1
-        n //= p
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
     return out
 
 

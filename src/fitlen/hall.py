@@ -63,10 +63,6 @@ class HallProfile:
                 "no profile entry for %r (restricted to %r)" % (sigma, key))
         return self.values[key]
 
-    def __contains__(self, sigma) -> bool:
-        key = tuple(sorted(set(sigma) & set(self.primes)))
-        return key in self.values
-
 
 def _profile_entry(cg: ConstructedGroup, key: PrimeSet) -> int:
     if key not in cg._h_cache:

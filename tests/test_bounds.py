@@ -8,6 +8,7 @@ from fitlen.bounds import (VIOLATION, check_all, cover_bound, ell_step_bound,
                            lambda_sweep_ok, make_cover, product_bound,
                            quadratic_bound, top_two_bound, triple_bound,
                            two_factor_bound, weight)
+from fitlen.construct import build, parse_expr
 from fitlen.errors import ProfileMissingError, UsageError
 from fitlen.hall import HallProfile, hall_profile
 from fitlen.series import fitting_length
@@ -247,4 +248,17 @@ def test_report_not_applicable_distinct_from_fail(catalog):
     statuses = {e.name: e.status for e in report.entries}
     assert statuses["top-two"] == "n/a"
     assert statuses["size-step"] == "n/a"
+    assert report.overall_pass
+
+
+def test_check_all_w6_evaluates_every_cover():
+    # at six primes every prime subset is profiled, so no cover whose
+    # members include a middle-sized subset is left out
+    cg = build(parse_expr(
+        "D(C(2,1),D(C(3,1),D(C(5,1),D(C(7,1),D(C(11,1),C(13,1))))))"))
+    report = check_all(cg)
+    covers = [e for e in report.entries if e.name == "cover-weight"]
+    assert len(covers) == sum(len(enumerate_covers(cg.primes, t))
+                              for t in range(3, 8)) == 1325
+    assert all(e.status == "pass" for e in covers)
     assert report.overall_pass

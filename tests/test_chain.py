@@ -117,6 +117,18 @@ def test_factored_order_and_primes():
     assert G.factored_order == {2: 7, 3: 2, 5: 1, 7: 1}
     assert G.primes == (2, 3, 5, 7)
     assert factorize(40320) == G.factored_order
+    # factorize against the prime powers dividing each n <= 5000
+    limit = 5000
+    primes = [p for p in range(2, limit + 1)
+              if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    expected = {n: {} for n in range(1, limit + 1)}
+    for p in primes:
+        for m in range(p, limit + 1, p):
+            e, q = 0, m
+            while q % p == 0:
+                e, q = e + 1, q // p
+            expected[m][p] = e
+    assert {n: factorize(n) for n in expected} == expected
 
 
 def test_uniform_sampling_hits_members():
@@ -273,3 +285,22 @@ def test_skipped_pairs_are_strong_generators_below(catalog, w4):
             assert s.tobytes() in gens[i + 1], (name, i)
             skipped += 1
     assert skipped > 0
+
+
+def test_pinned_orbits_are_closed_and_masked(catalog, w4):
+    # insertion tries the old orbit points against the new generator
+    # alone and skips a generator whose support misses the orbit mask;
+    # both rely on every orbit being closed under every stored generator
+    for name, chain, _ in _pinned_chains(catalog, w4):
+        ident = np.arange(chain.degree)
+        for i, lv in enumerate(chain.levels):
+            orbit = np.array(lv.orbit)
+            points = set(lv.orbit)
+            assert len(points) == len(lv.orbit), (name, i)
+            assert lv.omask == sum(1 << pt for pt in points), (name, i)
+            for s in lv.gens:
+                assert set(s[orbit].tolist()) == points, (name, i)
+            for j, pt in enumerate(lv.orbit):
+                assert lv.pos[pt] == j, (name, i)
+                assert lv.trans[j][lv.point] == pt, (name, i, j)
+                assert (lv.trans_inv[j][lv.trans[j]] == ident).all(), (name, i, j)

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,24 @@ def test_parse_error_position_and_exit():
     code, _, err = run_cli("build", "W(C(2,1)")
     assert code == 1
     assert "position" in err
+
+
+@pytest.mark.parametrize("leaf,message", [
+    ("C(1000000000000000003,1)", "degree budget exceeded"),  # a prime
+    ("C(1000000016000000063,1)", "is not prime"),  # 1000000007 * 1000000009
+    ("C(%s,1)" % ("9" * 5000), "parse error at position 2"),
+], ids=["prime", "composite", "5000-digit"])
+def test_large_leaf_integers_exit_cleanly(leaf, message, capsys):
+    # the leaf checks run before any budget check, so they must be fast
+    proc = subprocess.run(PKG_ARGS + ["build", leaf], capture_output=True,
+                          text=True, timeout=10)
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    start = time.monotonic()
+    assert main(["build", leaf]) == 1
+    assert time.monotonic() - start < 1
+    assert message in capsys.readouterr().err
 
 
 def test_unknown_subcommand_usage():

@@ -167,6 +167,8 @@ def test_parse_whitespace():
     ("W(C(2,1)", "position"),
     ("X(2,1)", "position 0"),
     ("C(4,1)", "prime"),
+    ("C(3825123056546413051,1)", "prime"),  # strong pseudoprime to 2..23
+    ("EA(18446744073709551629,1)", "2^64"),  # the first prime past 2^64
     ("C(2,0)", "exponent"),
     ("IT(C(2,1),0)", "l >= 1"),
     ("W(C(2,1),C(3,1)) trailing", "trailing"),
