@@ -16,9 +16,8 @@ from .bounds import (BoundEntry, BoundReport, Cover, check_all,
                      top_two_bound, triple_bound, two_factor_bound, weight)
 from .config import DEFAULT_LIMITS, Limits
 from .construct import (Cyclic, Direct, ElemAbelian, GroupExpr, Iterated,
-                        Wreath, build, cyclic, direct_product, elem_abelian,
-                        expr_degree, expr_order, expr_to_text, iterated,
-                        parse_expr, wreath_product)
+                        Wreath, build, expr_degree, expr_order, expr_to_text,
+                        parse_expr)
 from .errors import (ContainmentError, DegreeBudgetError, DegreeMismatchError,
                      FitlenError, NotAPermutationError, NotSolubleError,
                      OracleScaleError, ProfileMissingError, SylowSystemError,

@@ -1,8 +1,10 @@
-"""Builders for the example group families.
+"""Build the example group families from expression trees.
 
+`build(parse_expr(text))` is the one way to construct a group, and
+`build` alone validates the expression and holds the degree budget.
 Groups are assembled from cyclic and elementary-abelian leaves by
 direct products, wreath products and iterated wreath powers.  Every
-builder keeps the recursion that made its generator list as a function
+node keeps the recursion that made its generator list as a function
 of a prime set sigma: a leaf outside sigma keeps its points but adds
 no generator, a direct product joins both sides, and A wr B embeds
 A_sigma's generators at one block per orbit of B_sigma and lifts
@@ -224,20 +226,20 @@ class ConstructedGroup:
 
     hall_generators(sigma) lists image arrays that generate a Hall
     sigma-subgroup, built by the recursion that built the group's own
-    generator list, hall_generators(None).  When the expression is
-    known, creation builds the group's chain exactly and requires its
-    order to equal the expression's order formula.
+    generator list, hall_generators(None).  Creation builds the group's
+    chain exactly and requires its order to equal the expression's order
+    formula.
     """
 
     group: PermGroup
-    expr: Optional[GroupExpr]
+    expr: GroupExpr
     hall_generators: HallGenerators
     _hall_chain_cache: dict = field(default_factory=dict, repr=False)
     _h_cache: dict = field(default_factory=dict, repr=False)
     _d_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.expr is not None and self.order != expr_order(self.expr):
+        if self.order != expr_order(self.expr):
             raise SylowSystemError(
                 "%s: the group has order %d, but the expression gives %d"
                 % (self.describe(), self.order, expr_order(self.expr)))
@@ -270,53 +272,64 @@ class ConstructedGroup:
         return len(self.group.primes)
 
     def describe(self) -> str:
-        return expr_to_text(self.expr) if self.expr is not None else "<adhoc>"
+        return expr_to_text(self.expr)
 
 
-def _constructed(degree: int, expr: Optional[GroupExpr],
+def _constructed(degree: int, expr: GroupExpr,
                  hall_generators: HallGenerators) -> ConstructedGroup:
-    # builders pass recursions that hold their children's recursions,
+    # _build passes recursions that hold their children's recursions,
     # never the children, so no intermediate group outlives the build
     gens = tuple(Permutation(a, _checked=False) for a in hall_generators(None))
     return ConstructedGroup(PermGroup(degree, gens), expr, hall_generators)
 
 
-def trivial_constructed(degree: int = 1) -> ConstructedGroup:
-    return ConstructedGroup(PermGroup.trivial(degree), None, lambda sigma: [])
+# -- building -------------------------------------------------------------
+
+def build(expr: GroupExpr, default_action: str = NATURAL,
+          limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
+    """Materialize an expression as a permutation group with Sylow system.
+
+    The one way to construct a group, and the one place that validates
+    the expression and checks the degree budget.  Every leaf has degree
+    at least 2 and at most its order, so no subexpression needs a larger
+    degree than the whole tree, and _build needs no check of its own.
+    """
+    validate_expr(expr)
+    if default_action not in (NATURAL, REGULAR):
+        raise UsageError("unknown wreath action %r" % (default_action,))
+    # exact up to this ceiling; anything larger only has to be seen to
+    # exceed the budget
+    ceiling = max(limits.max_degree, 1 << 64)
+    needed, _ = _size(expr, default_action, ceiling)
+    if needed > limits.max_degree:
+        natural_deg, _ = _size(_all_natural(expr), NATURAL, ceiling)
+        hint = ""
+        if natural_deg < needed:
+            hint = (" (involves the regular action; all-natural would need"
+                    " degree %s)" % _degree_text(natural_deg, ceiling))
+        raise DegreeBudgetError(
+            "degree budget exceeded: expression needs degree %s > %d%s"
+            % (_degree_text(needed, ceiling), limits.max_degree, hint), needed)
+    return _build(expr, default_action)
 
 
-# -- leaf builders --------------------------------------------------------
+def _degree_text(degree: int, ceiling: int) -> str:
+    return "%d" % degree if degree <= ceiling else "more than %d" % ceiling
+
+
+def _all_natural(expr: GroupExpr) -> GroupExpr:
+    if isinstance(expr, Wreath):
+        return Wreath(_all_natural(expr.base), _all_natural(expr.top), NATURAL)
+    if isinstance(expr, Direct):
+        return Direct(_all_natural(expr.left), _all_natural(expr.right))
+    if isinstance(expr, Iterated):
+        return Iterated(_all_natural(expr.expr), expr.times)
+    return expr
+
 
 def _leaf(p: int, arrays: list[np.ndarray]) -> HallGenerators:
     return lambda sigma: list(arrays) if sigma is None or p in sigma else []
 
-
-def cyclic(p: int, k: int = 1, limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
-    validate_expr(Cyclic(p, k))
-    n = p ** k
-    if n > limits.max_degree:
-        raise DegreeBudgetError(
-            "cyclic leaf needs degree %d > budget %d" % (n, limits.max_degree), n)
-    images = np.roll(np.arange(n, dtype=np.intp), -1)
-    return _constructed(n, Cyclic(p, k), _leaf(p, [images]))
-
-
-def elem_abelian(p: int, k: int, limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
-    validate_expr(ElemAbelian(p, k))
-    n = k * p
-    if n > limits.max_degree:
-        raise DegreeBudgetError(
-            "elementary abelian leaf needs degree %d > budget %d"
-            % (n, limits.max_degree), n)
-    gens = []
-    for i in range(k):
-        arr = np.arange(n, dtype=np.intp)
-        arr[i * p:(i + 1) * p] = np.roll(np.arange(i * p, (i + 1) * p), -1)
-        gens.append(arr)
-    return _constructed(n, ElemAbelian(p, k), _leaf(p, gens))
-
-
-# -- combinators ----------------------------------------------------------
 
 def _shift(arr: np.ndarray, offset: int, total: int) -> np.ndarray:
     out = np.arange(total, dtype=np.intp)
@@ -324,22 +337,39 @@ def _shift(arr: np.ndarray, offset: int, total: int) -> np.ndarray:
     return out
 
 
-def direct_product(A: ConstructedGroup, B: ConstructedGroup,
-                   limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
-    n = A.degree + B.degree
-    if n > limits.max_degree:
-        raise DegreeBudgetError(
-            "direct product needs degree %d > budget %d" % (n, limits.max_degree), n)
-    left, right, offset = A.hall_generators, B.hall_generators, A.degree
+def _build(expr: GroupExpr, default_action: str) -> ConstructedGroup:
+    if isinstance(expr, Cyclic):
+        n = expr.p ** expr.k
+        images = np.roll(np.arange(n, dtype=np.intp), -1)
+        return _constructed(n, expr, _leaf(expr.p, [images]))
+    if isinstance(expr, ElemAbelian):
+        p, n = expr.p, expr.k * expr.p
+        gens = []
+        for i in range(expr.k):
+            arr = np.arange(n, dtype=np.intp)
+            arr[i * p:(i + 1) * p] = np.roll(np.arange(i * p, (i + 1) * p), -1)
+            gens.append(arr)
+        return _constructed(n, expr, _leaf(p, gens))
+    if isinstance(expr, Direct):
+        A = _build(expr.left, default_action)
+        B = _build(expr.right, default_action)
+        total = A.degree + B.degree
+        left, right, offset = A.hall_generators, B.hall_generators, A.degree
 
-    def hall_generators(sigma):
-        return ([_shift(g, 0, n) for g in left(sigma)]
-                + [_shift(g, offset, n) for g in right(sigma)])
+        def hall_generators(sigma):
+            return ([_shift(g, 0, total) for g in left(sigma)]
+                    + [_shift(g, offset, total) for g in right(sigma)])
 
-    expr = None
-    if A.expr is not None and B.expr is not None:
-        expr = Direct(A.expr, B.expr)
-    return _constructed(n, expr, hall_generators)
+        return _constructed(total, Direct(A.expr, B.expr), hall_generators)
+    if isinstance(expr, Wreath):
+        return _wreath(_build(expr.base, default_action),
+                       _build(expr.top, default_action), expr.action)
+    # validate_expr admits no other node, so expr is Iterated
+    H = _build(expr.expr, default_action)
+    result = H
+    for _ in range(expr.times - 1):
+        result = _wreath(result, H, default_action)
+    return result
 
 
 def _enumerate_elements(B: ConstructedGroup) -> tuple[list[np.ndarray], dict[bytes, int]]:
@@ -399,35 +429,19 @@ def _block_orbit_reps(d: int, block_perms: list[np.ndarray]) -> list[int]:
     return reps
 
 
-def wreath_product(A: ConstructedGroup, B: ConstructedGroup,
-                   action: str = NATURAL,
-                   limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
-    if action not in (NATURAL, REGULAR):
-        raise UsageError("unknown wreath action %r" % (action,))
+def _wreath(A: ConstructedGroup, B: ConstructedGroup,
+            action: str) -> ConstructedGroup:
     m = A.degree
     if action == NATURAL:
-        d = B.degree
+        d, top = B.degree, B.hall_generators
     else:
         d = B.order
-    n = m * d
-    if n > limits.max_degree:
-        hint = ""
-        if action == REGULAR:
-            hint = " (regular action; natural action would need degree %d)" % (
-                m * B.degree)
-        raise DegreeBudgetError(
-            "degree budget exceeded: wreath product needs degree %d > %d%s"
-            % (n, limits.max_degree, hint), n)
-
-    if action == NATURAL:
-        top = B.hall_generators
-    else:
         # every Hall subgroup's top acts on the whole top's element list
         elems, index = _enumerate_elements(B)
 
         def top(sigma, gens=B.hall_generators):
             return [_right_translation(elems, index, g) for g in gens(sigma)]
-    base = A.hall_generators
+    n, base = m * d, A.hall_generators
 
     def hall_generators(sigma):
         blocks = top(sigma)
@@ -436,84 +450,7 @@ def wreath_product(A: ConstructedGroup, B: ConstructedGroup,
                 for a in base_gens]
         return gens + [_lift_block_perm(t, m) for t in blocks]
 
-    expr = None
-    if A.expr is not None and B.expr is not None:
-        expr = Wreath(A.expr, B.expr, action)
-    return _constructed(n, expr, hall_generators)
-
-
-def iterated(H: ConstructedGroup, times: int, action: str = NATURAL,
-             limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
-    if times < 1:
-        raise UsageError("iterated power needs l >= 1, got %d" % times)
-    result = H
-    for _ in range(times - 1):
-        result = wreath_product(result, H, action, limits)
-    return result
-
-
-def build(expr: GroupExpr, default_action: str = NATURAL,
-          limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
-    """Materialize an expression as a permutation group with Sylow system."""
-    validate_expr(expr)
-    # exact up to this ceiling; anything larger only has to be seen to
-    # exceed the budget
-    ceiling = max(limits.max_degree, 1 << 64)
-    needed, _ = _size(expr, default_action, ceiling)
-    if needed > limits.max_degree:
-        hint = ""
-        if _uses_regular(expr) or default_action == REGULAR:
-            natural_deg, _ = _size(_all_natural(expr), NATURAL, ceiling)
-            hint = (" (involves the regular action; all-natural would need"
-                    " degree %s)" % _degree_text(natural_deg, ceiling))
-        raise DegreeBudgetError(
-            "degree budget exceeded: expression needs degree %s > %d%s"
-            % (_degree_text(needed, ceiling), limits.max_degree, hint), needed)
-    return _build(expr, default_action, limits)
-
-
-def _degree_text(degree: int, ceiling: int) -> str:
-    return "%d" % degree if degree <= ceiling else "more than %d" % ceiling
-
-
-def _uses_regular(expr: GroupExpr) -> bool:
-    if isinstance(expr, Wreath):
-        return (expr.action == REGULAR or _uses_regular(expr.base)
-                or _uses_regular(expr.top))
-    if isinstance(expr, Direct):
-        return _uses_regular(expr.left) or _uses_regular(expr.right)
-    if isinstance(expr, Iterated):
-        return _uses_regular(expr.expr)
-    return False
-
-
-def _all_natural(expr: GroupExpr) -> GroupExpr:
-    if isinstance(expr, Wreath):
-        return Wreath(_all_natural(expr.base), _all_natural(expr.top), NATURAL)
-    if isinstance(expr, Direct):
-        return Direct(_all_natural(expr.left), _all_natural(expr.right))
-    if isinstance(expr, Iterated):
-        return Iterated(_all_natural(expr.expr), expr.times)
-    return expr
-
-
-def _build(expr: GroupExpr, default_action: str, limits: Limits) -> ConstructedGroup:
-    if isinstance(expr, Cyclic):
-        return cyclic(expr.p, expr.k, limits)
-    if isinstance(expr, ElemAbelian):
-        return elem_abelian(expr.p, expr.k, limits)
-    if isinstance(expr, Direct):
-        return direct_product(_build(expr.left, default_action, limits),
-                              _build(expr.right, default_action, limits),
-                              limits)
-    if isinstance(expr, Wreath):
-        return wreath_product(_build(expr.base, default_action, limits),
-                              _build(expr.top, default_action, limits),
-                              expr.action, limits)
-    if isinstance(expr, Iterated):
-        return iterated(_build(expr.expr, default_action, limits),
-                        expr.times, default_action, limits)
-    raise UsageError("not a group expression: %r" % (expr,))
+    return _constructed(n, Wreath(A.expr, B.expr, action), hall_generators)
 
 
 # -- expression text ---------------------------------------------------------

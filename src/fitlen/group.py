@@ -86,9 +86,6 @@ class PermGroup:
     def num_primes(self) -> int:
         return len(self.factored_order)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise DegreeMismatchError(

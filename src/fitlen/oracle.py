@@ -154,9 +154,6 @@ class TinyGroup:
             return ()
         return tuple(sorted(factorize(self.order)))
 
-    def is_sigma_group(self, sigma: Iterable[int]) -> bool:
-        return set(self.primes()) <= set(sigma)
-
     def conjugacy_classes(self) -> list[list[Elem]]:
         """Conjugacy classes in first-seen element order."""
         if self._classes is None:

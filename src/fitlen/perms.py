@@ -9,7 +9,7 @@ form.
 from __future__ import annotations
 
 import re
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -131,7 +131,7 @@ class Permutation:
     def order(self) -> int:
         result = 1
         for cycle in self.cycles():
-            result = _lcm(result, len(cycle))
+            result = lcm(result, len(cycle))
         return result
 
     def __eq__(self, other) -> bool:
@@ -219,6 +219,3 @@ def parse_cycles(text: str, degree: int | None = None) -> Permutation:
         )
     return Permutation.from_cycles(cycles, degree)
 
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b

@@ -3,10 +3,8 @@ import random
 import pytest
 
 from fitlen.construct import (ConstructedGroup, Cyclic, Direct, ElemAbelian,
-                              Iterated, Wreath, build, cyclic, direct_product,
-                              elem_abelian, expr_degree, expr_order,
-                              expr_to_text, iterated, parse_expr,
-                              wreath_product)
+                              Iterated, Wreath, build, expr_degree, expr_order,
+                              expr_to_text, parse_expr)
 from fitlen.errors import DegreeBudgetError, SylowSystemError, UsageError
 from fitlen.group import PermGroup
 from fitlen.perms import parse_cycles
@@ -14,13 +12,13 @@ from fitlen.series import fitting_length, is_nilpotent
 
 
 def test_cyclic_leaf():
-    g = cyclic(3, 2)
+    g = build(Cyclic(3, 2))
     assert g.degree == 9 and g.order == 9 and g.primes == (3,)
     assert fitting_length(g.group) == 1
 
 
 def test_elem_abelian_leaf():
-    g = elem_abelian(3, 2)
+    g = build(ElemAbelian(3, 2))
     assert g.degree == 6 and g.order == 9
     # every nontrivial element has order 3
     for gen in g.group.generators:
@@ -28,31 +26,24 @@ def test_elem_abelian_leaf():
 
 
 def test_direct_product_basics():
-    g = direct_product(cyclic(2), cyclic(3))
+    g = build(Direct(Cyclic(2), Cyclic(3)))
     assert g.order == 6 and g.degree == 5 and g.primes == (2, 3)
     assert is_nilpotent(g.group)  # C6 is cyclic
 
 
-def test_direct_product_with_trivial():
-    from fitlen.construct import trivial_constructed
-    a = cyclic(5)
-    padded = direct_product(a, trivial_constructed())
-    assert padded.order == a.order
-
-
 def test_wreath_natural_formula():
-    g = wreath_product(cyclic(2), cyclic(3))
+    g = build(Wreath(Cyclic(2), Cyclic(3)))
     assert g.degree == 6 and g.order == 24
 
 
 def test_wreath_regular_formula():
-    g = wreath_product(cyclic(2), cyclic(2), action="regular")
+    g = build(Wreath(Cyclic(2), Cyclic(2), "regular"))
     assert g.degree == 4 and g.order == 8
     assert is_nilpotent(g.group)
 
 
 def test_wreath_sylow_orders():
-    g = wreath_product(cyclic(2), cyclic(3))
+    g = build(Wreath(Cyclic(2), Cyclic(3)))
     from fitlen.construct import hall_chain
     assert hall_chain(g, (2,))[0].order() == 8
     assert hall_chain(g, (3,))[0].order() == 3
@@ -60,13 +51,20 @@ def test_wreath_sylow_orders():
 
 
 def test_iterated():
-    h = cyclic(2)
-    assert iterated(h, 1) is h
-    assert iterated(h, 2).order == 8
-    g = iterated(cyclic(2), 3)
+    h = build(Cyclic(2))
+    once = build(Iterated(Cyclic(2), 1))
+    assert once.expr == h.expr
+    assert once.group.generators == h.group.generators
+    assert build(Iterated(Cyclic(2), 2)).order == 8
+    g = build(Iterated(Cyclic(2), 3))
     assert g.order == 8 ** 2 * 2 == 128 and g.degree == 8
     with pytest.raises(UsageError):
-        iterated(h, 0)
+        build(Iterated(Cyclic(2), 0))
+
+
+def test_unknown_default_action_raises():
+    with pytest.raises(UsageError, match="unknown wreath action"):
+        build(Iterated(Cyclic(2), 2), default_action="sideways")
 
 
 def test_build_matches_formulas():
@@ -128,7 +126,7 @@ def test_regular_overflow_suggests_natural():
 
 def test_wreath_block_layout_contract():
     # coordinate i of the base occupies points [i*m, (i+1)*m)
-    g = wreath_product(cyclic(2), cyclic(3))
+    g = build(Wreath(Cyclic(2), Cyclic(3)))
     base_gen = g.group.generators[0]
     assert str(base_gen) == "(1 2)"  # block 0 is points {0, 1}
     top_gen = g.group.generators[-1]

@@ -9,7 +9,9 @@ from fitlen.config import Limits
 from fitlen.construct import build, parse_expr
 from fitlen.errors import NotSolubleError, OracleScaleError
 from fitlen.group import PermGroup, factorize, p_part
-from fitlen.oracle import (_bfs_closure, _mul, check_nilpotent_triple_product,
+from fitlen.hall import hall_derived_length
+from fitlen.oracle import (_bfs_closure, _inv, _mul,
+                           check_nilpotent_triple_product,
                            check_trifactorization, core_sigma, element_order,
                            enumerate_group, fitting_length_upper,
                            fitting_subgroup, hall_subgroup_search,
@@ -17,7 +19,7 @@ from fitlen.oracle import (_bfs_closure, _mul, check_nilpotent_triple_product,
                            quotient_by, subgroup_closure,
                            core_containment_holds)
 from fitlen.perms import Permutation, parse_cycles
-from fitlen.series import fitting_length
+from fitlen.series import derived_length, fitting_length
 
 
 def _tiny(*texts, degree):
@@ -141,6 +143,44 @@ def test_hall_search_matches_sigma_parts(oracle_catalog):
             for sigma in itertools.combinations(T.primes(), size):
                 H = hall_subgroup_search(T, sigma)
                 assert H.order == p_part(factored, sigma), (name, sigma)
+
+
+def _brute_derived_length(T):
+    """Derived length of T from its brute-force derived series.
+
+    Each term D' is <[x, y] : x in D, y in gens(D)>.  That subgroup is
+    normal in D because [x, y]^g = [xg, y][g, y]^-1, a product of two of
+    its generators, and every element of D commutes with every generator
+    of D modulo it, so D/D' is abelian and D' is the commutator subgroup.
+    Generators are kept only when they enlarge the closure, so the lists
+    stay short down the series.
+    """
+    length, D = 0, T
+    while D.order > 1:
+        gens = []
+        N = subgroup_closure(D, gens)
+        for x in D.elements:
+            for y in D.gens:
+                c = _mul(_mul(_inv(x), _inv(y)), _mul(x, y))
+                if c not in N:
+                    gens.append(c)
+                    N = subgroup_closure(D, gens)
+        assert N.order < D.order, "the derived series stalls: not soluble"
+        length, D = length + 1, N
+    return length
+
+
+def test_derived_length_matches_brute_force_series(oracle_catalog):
+    # the groups' own derived lengths, and every d(B) of a proper Hall
+    # subgroup B that the two-factor bound entries use
+    for name, cg in oracle_catalog.items():
+        T = enumerate_group(cg.group)
+        assert derived_length(cg.group) == _brute_derived_length(T), name
+        for size in range(1, len(T.primes())):
+            for sigma in itertools.combinations(T.primes(), size):
+                H = hall_subgroup_search(T, sigma)
+                assert hall_derived_length(cg, sigma) == \
+                    _brute_derived_length(H), (name, sigma)
 
 
 def test_core_containment_examples(s4):

@@ -7,8 +7,13 @@ filter never asks fitlen to evaluate an oversized expression.  WR is
 drawn only over a leaf top, which keeps every exponent small;
 `expr_order` and `expr_degree` raise UsageError on an exponent tower.
 Every Hall chain of every drawn group is also checked to be
-Schreier-complete with the order the expression gives.
+Schreier-complete with the order the expression gives, and the seeded
+route the CLI takes, `hall_profile`, is checked against the oracle's
+Fitting length of a Hall subgroup found by search, for every nonempty
+prime set.
 """
+
+import itertools
 
 import pytest
 
@@ -16,7 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fitlen.construct import build, expr_order, parse_expr  # noqa: E402
-from fitlen.oracle import enumerate_group, fitting_length_upper  # noqa: E402
+from fitlen.hall import hall_profile  # noqa: E402
+from fitlen.oracle import (enumerate_group, fitting_length_upper,  # noqa: E402
+                           hall_subgroup_search)
 from fitlen.series import fitting_length  # noqa: E402
 
 from test_hall import assert_hall_chains_certified  # noqa: E402
@@ -61,4 +68,10 @@ def test_chain_route_matches_oracle(entry):
     T = enumerate_group(cg.group)
     assert T.order == order
     assert fitting_length(cg.group) == fitting_length_upper(T)
+    sigmas = [sigma for size in range(1, len(cg.primes) + 1)
+              for sigma in itertools.combinations(cg.primes, size)]
+    profile = hall_profile(cg, sigmas)
+    for sigma in sigmas:
+        assert profile.h(sigma) == fitting_length_upper(
+            hall_subgroup_search(T, sigma)), (text, sigma)
     assert_hall_chains_certified(cg, text)

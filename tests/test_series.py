@@ -187,11 +187,11 @@ def test_normal_closure_matches_element_closure_random():
 
 
 def test_h_of_direct_product_is_max(catalog):
-    from fitlen.construct import direct_product
+    from fitlen.construct import Direct, build
     pairs = [("w23", "c6"), ("w32", "c8"), ("d120", "w32"), ("d90", "ea9")]
     for left, right in pairs:
         a, b = catalog[left], catalog[right]
-        prod = direct_product(a, b)
+        prod = build(Direct(a.expr, b.expr))
         assert fitting_length(prod.group) == max(
             fitting_length(a.group), fitting_length(b.group)), (left, right)
 
