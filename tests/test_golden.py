@@ -17,6 +17,8 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EX32A = "W(C(2,1),W(C(3,1),C(5,1)))"
 W4 = "W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"
+W7 = ("D(W(C(2,1),C(3,1)),D(W(C(5,1),C(7,1)),"
+      "D(W(C(11,1),C(2,1)),D(C(13,1),C(17,1)))))")
 
 CASES = {
     "build_w2w35": ("build", EX32A),
@@ -28,6 +30,8 @@ CASES = {
     "example_3.3": ("example", "3.3"),
     # four primes, 14 proper Hall subgroups: the benchmark's check-wide-w4
     "check_w4": ("check", W4),
+    # seven primes, beyond cover enumeration: the complement-shaped bounds
+    "check_w7": ("check", W7),
     # the two arithmetic-only paths: a family beyond its group-level
     # scale, and the four-prime example that has no group at all
     "example_3.2a_ell2": ("example", "3.2a", "--ell", "2"),
