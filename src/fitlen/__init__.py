@@ -20,8 +20,7 @@ from .construct import (Cyclic, Direct, ElemAbelian, GroupExpr, Iterated,
                         parse_expr)
 from .errors import (ContainmentError, DegreeBudgetError, DegreeMismatchError,
                      FitlenError, NotAPermutationError, NotSolubleError,
-                     OracleScaleError, ProfileMissingError, SylowSystemError,
-                     UsageError)
+                     OracleScaleError, SylowSystemError, UsageError)
 from .group import PermGroup, factorize, p_part
 from .hall import (HallProfile, SylowSystemReport, frak_h, hall_complement,
                    hall_profile, hall_subgroup, verify_sylow_system)

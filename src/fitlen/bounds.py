@@ -5,7 +5,9 @@ unions all equal pi(G); equivalently, the complements of its members
 are pairwise disjoint, which is what the enumerator walks over.  The
 weight of a cover is the sum of the Fitting lengths of the matching
 Hall subgroups, and every bound evaluated here is an exact rational
-compared by integer cross-multiplication, never by rounding.
+compared by integer cross-multiplication, never by rounding.  Each
+bound reads the Hall Fitting lengths it needs from the group's profile
+when it needs them, so no Hall subgroup is profiled that no bound reads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .construct import ConstructedGroup
 from .errors import UsageError
-from .hall import HallProfile, hall_derived_length, hall_profile
+from .hall import HallProfile, frak_h, hall_derived_length
 
 PrimeSet = tuple[int, ...]
 
@@ -279,19 +281,10 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
     """
     primes = cg.primes
     w = len(primes)
-    if t_max is None:
-        t_max = w + 1
-
-    # profile every subset we may need: all of them while covers are
-    # enumerated (any subset can be a member), the complement shapes beyond
-    if w <= COVER_GROUND_LIMIT:
-        needed = [c for size in range(w + 1)
-                  for c in combinations(primes, size)]
-    else:
-        needed = [()]
-        needed += [c for size in (1, 2, w - 2, w - 1, w)
-                   for c in combinations(primes, size)]
-    profile = hall_profile(cg, needed)
+    # no cover has more than w + 1 members: at most w complement masks
+    # are pairwise disjoint, and a degenerate cover adds the ground set
+    t_max = w + 1 if t_max is None else min(t_max, w + 1)
+    profile = HallProfile(cg)
     h_actual = profile.h(primes)
 
     entries: list[BoundEntry] = []
@@ -326,9 +319,7 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
 
     # size-graded recursion and its closed forms
     if w >= 3 and w <= 4:
-        frak = {}
-        for size in range(1, w + 1):
-            frak[size] = max(profile.h(c) for c in combinations(primes, size))
+        frak = {size: frak_h(cg, size) for size in range(2, w + 1)}
         for ell in range(3, w + 1):
             entries.append(_entry(
                 "size-step", "ell=%d prev=%d" % (ell, frak[ell - 1]),
@@ -341,7 +332,7 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
                 "top-size-double", "frak%d=%d" % (w - 1, frak[w - 1]),
                 2 * frak[w - 1] - 1, h_actual))
     elif w > 4:
-        frak_prev = max(profile.h(c) for c in combinations(primes, w - 1))
+        frak_prev = frak_h(cg, w - 1)
         entries.append(_entry(
             "size-step", "ell=%d prev=%d" % (w, frak_prev),
             ell_step_bound(frak_prev, w), h_actual))

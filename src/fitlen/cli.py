@@ -16,7 +16,6 @@ import argparse
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .bounds import check_all, enumerate_covers
@@ -136,8 +135,8 @@ class _Timer:
 def _head(doc: Document, command: str, args) -> None:
     doc.add("tool", "fitlen %s" % __version__)
     doc.add("command", command)
-    if getattr(args, "expression", None) is not None:
-        doc.add("expression", args.expression)
+    if getattr(args, "expr", None) is not None:
+        doc.add("expression", expr_to_text(args.expr))
     doc.add("action", args.action)
     if getattr(args, "ell", None) is not None:
         doc.add("ell", args.ell)
@@ -149,9 +148,8 @@ def _limits(args):
     return Limits(max_degree=args.max_degree, oracle_cap=args.oracle_cap)
 
 
-def _build_from_args(args, text: Optional[str] = None):
-    expr = parse_expr(text if text is not None else args.expression)
-    return build(expr, default_action=args.action, limits=_limits(args))
+def _build_from_args(args):
+    return build(args.expr, default_action=args.action, limits=_limits(args))
 
 
 def _describe_group(doc: Document, cg) -> None:
@@ -207,13 +205,10 @@ def cmd_hall(args, doc: Document, timer: _Timer) -> int:
 
 
 def cmd_frak(args, doc: Document, timer: _Timer) -> int:
-    size = args.size if args.size is not None else args.ell
-    if size is None:
-        raise UsageError("frak needs a subset size (--size N or --ell N)")
     cg = _build_from_args(args)
     timer.mark("build")
-    value = frak_h(cg, size)
-    doc.add("subset-size", size)
+    value = frak_h(cg, args.size)
+    doc.add("subset-size", args.size)
     doc.add("frak-h", value)
     timer.mark("frak")
     return OK
@@ -224,7 +219,8 @@ def cmd_covers(args, doc: Document, timer: _Timer) -> int:
     timer.mark("build")
     doc.add("primes", _sigma_text(cg.primes))
     w = cg.num_primes
-    t_max = args.t_max if args.t_max is not None else w + 1
+    # no cover has more than w + 1 members (see bounds.check_all)
+    t_max = w + 1 if args.t_max is None else min(args.t_max, w + 1)
     doc.table(["t", "members", "degenerate"])
     count = 0
     for t in range(3, t_max + 1):
@@ -488,8 +484,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True,
                    help="comma-separated primes, e.g. 2,3")
     p = command("frak", cmd_frak, "largest Hall Fitting length at one size")
-    p.add_argument("--size", type=int, default=None,
-                   help="prime-subset size (--ell works as an alias)")
+    p.add_argument("--size", type=int, required=True,
+                   help="prime-subset size")
     p = command("covers", cmd_covers, "enumerate covers of the prime set")
     p.add_argument("--t-max", type=int, default=None)
     p = command("check", cmd_check, "evaluate every applicable bound")
@@ -497,6 +493,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = command("example", cmd_example, "reproduce a built-in example family",
                 "family", choices=["3.2a", "3.2b", "3.3", "3.4", "3.5-arith"])
     p.add_argument("--t-max", type=int, default=None)
+    p.add_argument("--ell", type=int, default=None,
+                   help="iteration depth of the family (default 1)")
     p = command("conjecture", cmd_conjecture,
                 "trifactorization harness on a tiny built group")
     p.add_argument("--H", help="generators of H, cycle notation, ';'-separated")
@@ -509,8 +507,6 @@ def make_parser() -> argparse.ArgumentParser:
     for p in subs.choices.values():
         p.add_argument("--action", choices=[NATURAL, REGULAR], default=NATURAL,
                        help="wreath action used by IT() and example families")
-        p.add_argument("--ell", type=int, default=None,
-                       help="iteration depth for example families")
         p.add_argument("--max-degree", type=int,
                        default=DEFAULT_LIMITS.max_degree)
         p.add_argument("--oracle-cap", type=int,
@@ -527,8 +523,11 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     doc = Document()
     timer = _Timer()
-    _head(doc, args.subcommand, args)
     try:
+        # parsed inside the handler, so that a parse error exits 1
+        if getattr(args, "expression", None) is not None:
+            args.expr = parse_expr(args.expression)
+        _head(doc, args.subcommand, args)
         code = args.func(args, doc, timer)
     except FitlenError as exc:
         print("fitlen: %s" % exc, file=sys.stderr)

@@ -1,6 +1,6 @@
 """The two budgets that bound a run's work, set by --max-degree and --oracle-cap.
 
-No other limit is needed for termination: every series stops when a
+No other limit is required for termination: every series stops when a
 step fails to shrink the group, so it has at most log2|G| terms, and
 every oracle computation works inside one enumerated group.
 """

@@ -300,16 +300,17 @@ def build(expr: GroupExpr, default_action: str = NATURAL,
     # exact up to this ceiling; anything larger only has to be seen to
     # exceed the budget
     ceiling = max(limits.max_degree, 1 << 64)
-    needed, _ = _size(expr, default_action, ceiling)
-    if needed > limits.max_degree:
+    required, _ = _size(expr, default_action, ceiling)
+    if required > limits.max_degree:
         natural_deg, _ = _size(_all_natural(expr), NATURAL, ceiling)
         hint = ""
-        if natural_deg < needed:
+        if natural_deg < required:
             hint = (" (involves the regular action; all-natural would need"
                     " degree %s)" % _degree_text(natural_deg, ceiling))
         raise DegreeBudgetError(
             "degree budget exceeded: expression needs degree %s > %d%s"
-            % (_degree_text(needed, ceiling), limits.max_degree, hint), needed)
+            % (_degree_text(required, ceiling), limits.max_degree, hint),
+            required)
     return _build(expr, default_action)
 
 

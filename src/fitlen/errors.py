@@ -24,7 +24,7 @@ class NotSolubleError(FitlenError, ValueError):
 class DegreeBudgetError(FitlenError, ValueError):
     """A construction would exceed the configured maximum degree.
 
-    Carries the degree the construction would have needed.  When that
+    Carries the degree the construction would have required.  When that
     degree is too large to write down (an exponent tower of regular
     actions), build() reports the first integer past its arithmetic
     ceiling instead, which still exceeds the budget.
@@ -42,10 +42,6 @@ class SylowSystemError(FitlenError, RuntimeError):
 
 class OracleScaleError(FitlenError, ValueError):
     """A brute-force computation exceeded its configured cap."""
-
-
-class ProfileMissingError(FitlenError, KeyError):
-    """A weight computation needed a profile entry that was never computed."""
 
 
 class UsageError(FitlenError, ValueError):

@@ -6,6 +6,10 @@ lists generators of a Hall sigma-subgroup, and `hall_chain` proves the
 list's order exactly.  There is no search for Hall subgroups in
 arbitrary groups here; the brute-force variant for tiny groups lives
 in the oracle module.
+
+Profile values are read on demand: h(G_sigma) is computed the first
+time any caller reads it and cached on the constructed group, so every
+sigma can be read and none is computed unless something reads it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .construct import ConstructedGroup, hall_chain
-from .errors import ProfileMissingError, SylowSystemError, UsageError
+from .errors import SylowSystemError, UsageError
 from .group import PermGroup, p_part
 from .series import derived_length, fitting_length
 
@@ -49,21 +53,6 @@ def hall_complement(cg: ConstructedGroup, p: int) -> PermGroup:
     return hall_subgroup(cg, tuple(q for q in cg.primes if q != p))
 
 
-@dataclass(frozen=True)
-class HallProfile:
-    """Fitting lengths of Hall subgroups, keyed by canonical prime set."""
-
-    primes: PrimeSet
-    values: dict[PrimeSet, int]
-
-    def h(self, sigma: Iterable[int]) -> int:
-        key = tuple(sorted(set(sigma) & set(self.primes)))
-        if key not in self.values:
-            raise ProfileMissingError(
-                "no profile entry for %r (restricted to %r)" % (sigma, key))
-        return self.values[key]
-
-
 def _profile_entry(cg: ConstructedGroup, key: PrimeSet) -> int:
     if key not in cg._h_cache:
         # one Sylow p-subgroup of G per prime in key seeds the first
@@ -81,12 +70,30 @@ def _profile_entry(cg: ConstructedGroup, key: PrimeSet) -> int:
     return cg._h_cache[key]
 
 
+@dataclass(frozen=True)
+class HallProfile:
+    """Fitting lengths of the Hall subgroups of one constructed group.
+
+    h(sigma) reads h(G_sigma) through the group's cache, computing it
+    on first read; sigma is restricted to pi(G) first.
+    """
+
+    cg: ConstructedGroup
+
+    @property
+    def primes(self) -> PrimeSet:
+        return self.cg.primes
+
+    def h(self, sigma: Iterable[int]) -> int:
+        return _profile_entry(self.cg, canonical_sigma(self.cg, sigma))
+
+
 def hall_profile(cg: ConstructedGroup,
                  subsets: Sequence[Iterable[int]]) -> HallProfile:
-    """h(G_sigma) for each requested sigma, cached per canonical key."""
-    keys = dict.fromkeys(canonical_sigma(cg, sigma) for sigma in subsets)
-    return HallProfile(cg.primes,
-                       {key: _profile_entry(cg, key) for key in keys})
+    """The profile of cg, with h(G_sigma) computed now for each listed sigma."""
+    for sigma in subsets:
+        _profile_entry(cg, canonical_sigma(cg, sigma))
+    return HallProfile(cg)
 
 
 def hall_derived_length(cg: ConstructedGroup, sigma: Iterable[int]) -> int:
@@ -104,9 +111,8 @@ def frak_h(cg: ConstructedGroup, ell: int) -> int:
         raise UsageError("subset size %d out of range 0..%d" % (ell, w))
     if ell == 0:
         return 0
-    subsets = list(combinations(cg.primes, ell))
-    profile = hall_profile(cg, subsets)
-    return max(profile.h(sigma) for sigma in subsets)
+    return max(_profile_entry(cg, sigma)
+               for sigma in combinations(cg.primes, ell))
 
 
 # -- explicit system verification ------------------------------------------

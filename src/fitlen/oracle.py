@@ -15,7 +15,7 @@ a generator already inside is skipped, and the new group is listed
 coset by coset, so each new element costs one product and each
 (coset representative, generator) pair is tried once.  Products are
 C-level `itemgetter` calls, built once per left factor.  The normal
-closure of a conjugacy class is needed only for its order, so only the
+closure of a conjugacy class matters only for its order, so only the
 primes of that order are kept, and only for the classes `core_sigma`
 actually reaches.
 

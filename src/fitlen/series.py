@@ -298,5 +298,5 @@ def lower_nilpotent_series(G: PermGroup,
 
 
 def fitting_length(G: PermGroup, system_gens: Optional[dict] = None) -> int:
-    """Number of nilpotent-residual steps needed to reach the trivial group."""
+    """Number of nilpotent-residual steps it takes to reach the trivial group."""
     return lower_nilpotent_series(G, system_gens).length

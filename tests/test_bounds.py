@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,20 @@ from fitlen.bounds import (VIOLATION, check_all, cover_bound, ell_step_bound,
                            quadratic_bound, top_two_bound, triple_bound,
                            two_factor_bound, weight)
 from fitlen.construct import build, parse_expr
-from fitlen.errors import ProfileMissingError, UsageError
-from fitlen.hall import HallProfile, hall_profile
+from fitlen.errors import UsageError
+from fitlen.hall import hall_profile
 from fitlen.series import fitting_length
+
+
+class FixedProfile:
+    """A profile with given values, for the formulas that read one."""
+
+    def __init__(self, primes, values):
+        self.primes = primes
+        self.values = values
+
+    def h(self, sigma):
+        return self.values[tuple(sorted(sigma))]
 
 
 # -- cover machinery ---------------------------------------------------------
@@ -92,13 +104,10 @@ def test_every_enumerated_family_is_a_cover():
             assert ok and degenerate == cover.degenerate
 
 
-def test_weight_and_missing_profile():
+def test_weight_sums_member_values():
     cover = make_cover([(2, 3), (3, 5), (5, 2)], (2, 3, 5))
-    profile = HallProfile((2, 3, 5), {(2, 3): 2, (3, 5): 2, (2, 5): 2})
+    profile = FixedProfile((2, 3, 5), {(2, 3): 2, (3, 5): 2, (2, 5): 2})
     assert weight(cover, profile) == 6
-    sparse = HallProfile((2, 3, 5), {(2, 3): 2})
-    with pytest.raises(ProfileMissingError):
-        weight(cover, sparse)
 
 
 # -- bound formulas -----------------------------------------------------------
@@ -118,7 +127,7 @@ def test_triple_bound_values():
 
 def test_covering_triple_bound_applicability():
     from fitlen.bounds import covering_triple_bound
-    profile = HallProfile((2, 3, 5), {
+    profile = FixedProfile((2, 3, 5), {
         (2, 3): 2, (3, 5): 2, (2, 5): 2, (2, 3, 5): 3})
     assert covering_triple_bound(profile, (3, 5), (2, 5), (2, 3)) == 4
     full = (2, 3, 5)
@@ -262,3 +271,17 @@ def test_check_all_w6_evaluates_every_cover():
                               for t in range(3, 8)) == 1325
     assert all(e.status == "pass" for e in covers)
     assert report.overall_pass
+
+
+@pytest.mark.parametrize("text,sizes", [
+    # w = 4: every nonempty prime set is a cover member or a split half,
+    # and no bound reads the empty set
+    ("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))", {1: 4, 2: 6, 3: 4, 4: 1}),
+    # w = 7, beyond cover enumeration: pairs, complements and G itself
+    ("D(W(C(2,1),C(3,1)),D(W(C(5,1),C(7,1)),"
+     "D(W(C(11,1),C(2,1)),D(C(13,1),C(17,1)))))", {2: 21, 6: 7, 7: 1}),
+], ids=["w4", "w7"])
+def test_check_all_profiles_only_the_prime_sets_it_reads(text, sizes):
+    cg = build(parse_expr(text))
+    check_all(cg)
+    assert Counter(len(key) for key in cg._h_cache) == sizes

@@ -271,3 +271,41 @@ def test_build_certifies_the_degree_900_group():
     for i in rows:
         assert kv["entry.%s.status" % i] == "ok"
         assert kv["entry.%s.actual" % i] == kv["entry.%s.expected" % i]
+
+
+@pytest.mark.parametrize("command", ["check", "covers"])
+def test_oversized_t_max_is_clamped(command):
+    # no cover has more than w + 1 members, so larger t are never tried
+    expr = "D(C(2,1),C(3,1))"
+    _, default, _ = run_cli(command, expr, "--format", "kv")
+    start = time.monotonic()
+    code, out, _ = run_cli(command, expr, "--t-max", "1000000000",
+                           "--format", "kv")
+    assert time.monotonic() - start < 2
+    assert code == 0
+    assert out == default
+
+
+def test_expression_whitespace_keeps_the_document_parseable():
+    code, out, _ = run_cli("fitting", "D(C(2,1),\nC(3, 1))", "--format", "kv")
+    assert code == 0
+    pairs = [line.split(" = ", 1) for line in out.splitlines()]
+    assert all(len(pair) == 2 for pair in pairs), out
+    assert dict(pairs)["expression"] == "D(C(2,1),C(3,1))"
+
+
+@pytest.mark.parametrize("command,extra", [("check", []),
+                                           ("frak", ["--size", "2"])])
+def test_ell_is_an_example_only_flag(command, extra):
+    code, out, err = run_cli(command, "W(C(2,1),W(C(3,1),C(5,1)))",
+                             *extra, "--ell", "2")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --ell 2" in err
+
+
+def test_frak_needs_a_size():
+    code, out, err = run_cli("frak", "D(C(2,1),C(3,1))")
+    assert code == 1
+    assert out == ""
+    assert "--size" in err

@@ -78,11 +78,12 @@ def test_profile_example_values(ex32a):
     assert profile.h((2, 3)) == 2
 
 
-def test_profile_missing_entry_raises(ex32a):
-    from fitlen.errors import ProfileMissingError
-    profile = hall_profile(ex32a, [(2, 3)])
-    with pytest.raises(ProfileMissingError):
-        profile.h((2, 5))
+def test_profile_reads_unlisted_sets_on_demand():
+    cg = build(parse_expr("W(C(2,1),W(C(3,1),C(5,1)))"))
+    profile = hall_profile(cg, [(2, 3)])
+    assert list(cg._h_cache) == [(2, 3)]
+    assert profile.h((5, 2, 7)) == 2
+    assert list(cg._h_cache) == [(2, 3), (2, 5)]
 
 
 def test_profile_cache_shared(ex32a):
