@@ -32,6 +32,8 @@ CASES = {
     "check_w4": ("check", W4),
     # seven primes, beyond cover enumeration: the complement-shaped bounds
     "check_w7": ("check", W7),
+    # family 3.2a at ell = 2 (h-deep-450): degree 450, h = 5
+    "fitting_h450": ("fitting", "W(C(2,1),IT(W(C(3,1),C(5,1)),2))"),
     # the two arithmetic-only paths: a family beyond its group-level
     # scale, and the four-prime example that has no group at all
     "example_3.2a_ell2": ("example", "3.2a", "--ell", "2"),
