@@ -14,6 +14,13 @@ every orbit point, so the orbit is already closed under g and the walk
 is skipped.  Schreier pairs already verified are remembered per orbit
 point in the same way.
 
+Each level stores one array per orbit point: the inverse u^-1 of the
+point's coset representative u, which is all that sift reads.  A new
+point's inverse comes from its parent's as (h u)^-1 = u^-1 h^-1, and u
+itself is inverted back only where it is needed: in verification, once
+per point per scan, and in sampling.  So a level costs 8 x degree bytes
+per orbit point.
+
 A chain is complete when every Schreier generator sifts to the
 identity; its orbit product is then the group's order.  Every chain
 here is built that way, so every order it reports is proved.
@@ -32,6 +39,18 @@ first base point it moves, so s, which fixes b_L, is also a strong
 generator of level L+1.  That level is verified, so s sifts to the
 identity there.  Identity tests compare an array's raw bytes with the
 chain's identity image.
+
+Each level also keeps tmask, the union of its representatives' masks.
+It contains the orbit mask, since a representative moves b_L to its
+point.  A generator s whose mask misses tmask is disjoint from every
+representative, so every pair it forms is skipped by the rule above,
+and storing it does not restart the level's scan.  So a pair past
+vdone[p] is either pending (p >= vscan) or disjoint from every
+representative.  That stays true when the orbit grows: only a generator
+that meets the orbit mask, and so tmask, can grow it, and storing that
+generator restarts the scan.  Every pair that is not skipped is still
+composed in the same order, so the chain is the one a full rescan
+builds.
 """
 
 from __future__ import annotations
@@ -44,25 +63,33 @@ from .perms import _arange, invert_array, support_mask
 
 
 class _Level:
-    __slots__ = ("point", "gens", "gsupp", "orbit", "pos", "trans",
-                 "trans_inv", "tsupp", "omask", "vdone", "vscan")
+    __slots__ = ("point", "gens", "gsupp", "orbit", "pos", "trans_inv",
+                 "tsupp", "omask", "tmask", "vdone", "vscan")
 
     def __init__(self, point: int, degree: int):
-        ident = _arange(degree)
         self.point = point
         self.gens: list[np.ndarray] = []
         self.orbit: list[int] = [point]
         self.pos: dict[int, int] = {point: 0}
         self.omask = 1 << point  # the orbit as a bit mask
-        self.trans: list[np.ndarray] = [ident]
-        self.trans_inv: list[np.ndarray] = [ident]
-        # support masks of gens and trans; the identity representative
-        # gets the base point's bit (see the module docstring)
+        # the inverse of each orbit point's coset representative, the
+        # one read-only array stored per point
+        self.trans_inv: list[np.ndarray] = [_arange(degree)]
+        # support masks of gens and of the representatives; the identity
+        # representative gets the base point's bit (see the module
+        # docstring), so tmask, their union, contains omask
         self.gsupp: list[int] = []
         self.tsupp: list[int] = [1 << point]
-        # Schreier pairs (i, j) with j < vdone[i] are verified
+        self.tmask = 1 << point
+        # Schreier pairs (i, j) with j < vdone[i] are verified; a pair
+        # past vdone[i] is pending (i >= vscan) or gens[j] misses tmask
         self.vdone: list[int] = [0]
         self.vscan = 0
+
+    def representative(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(u, u^-1) for the coset representative u of orbit point j."""
+        u_inv = self.trans_inv[j]
+        return invert_array(u_inv), u_inv
 
 
 class StabilizerChain:
@@ -167,32 +194,33 @@ class StabilizerChain:
             lv = self.levels[k]
             lv.gens.append(arr)
             lv.gsupp.append(mask)
-            lv.vscan = 0
-            if mask & lv.omask:
-                self._extend_orbit(lv, arr)
+            # a generator that misses tmask forms only skipped pairs
+            if mask & lv.tmask:
+                lv.vscan = 0
+                if mask & lv.omask:
+                    self._extend_orbit(lv, arr)
 
     def _extend_orbit(self, lv: _Level, g: np.ndarray) -> None:
         # the orbit is closed under every generator but g, which was
         # just stored; the points g adds are tried against all of them
-        orbit, pos, trans, trans_inv = lv.orbit, lv.pos, lv.trans, lv.trans_inv
+        orbit, pos, trans_inv = lv.orbit, lv.pos, lv.trans_inv
         old = len(orbit)
         i = 0
         while i < len(orbit):
             pt = orbit[i]
-            u = trans[i]
             for h in (g,) if i < old else lv.gens:
                 img = int(h[pt])
                 if img not in pos:
                     pos[img] = len(orbit)
                     orbit.append(img)
                     lv.omask |= 1 << img
-                    w = h[u]
-                    w.setflags(write=False)
-                    trans.append(w)
-                    lv.tsupp.append(support_mask(w))
-                    wi = invert_array(w)
+                    # (h u)^-1 = u^-1 h^-1, which moves the points h u moves
+                    wi = trans_inv[i][invert_array(h)]
                     wi.setflags(write=False)
                     trans_inv.append(wi)
+                    mask = support_mask(wi)
+                    lv.tsupp.append(mask)
+                    lv.tmask |= mask
                     lv.vdone.append(0)
             i += 1
 
@@ -205,13 +233,12 @@ class StabilizerChain:
             # generators stay fixed while its pending pairs are scanned
             lv = levels[i]
             point, gens, gsupp, pos = lv.point, lv.gens, lv.gsupp, lv.pos
-            trans, trans_inv, tsupp = lv.trans, lv.trans_inv, lv.tsupp
-            vdone = lv.vdone
+            trans_inv, tsupp, vdone = lv.trans_inv, lv.tsupp, lv.vdone
             ngens = len(gens)
             residue = None
             p = lv.vscan
-            while p < len(trans):
-                u = trans[p]
+            while p < len(trans_inv):
+                u = None  # the representative, inverted on first use
                 umask = tsupp[p]
                 g = vdone[p]
                 while g < ngens:
@@ -219,6 +246,8 @@ class StabilizerChain:
                     # gens[g], a strong generator of the verified level
                     # below, so the pair is skipped
                     if gsupp[g] & umask:
+                        if u is None:
+                            u = invert_array(trans_inv[p])
                         w = gens[g][u]
                         schreier = trans_inv[pos[int(w[point])]][w]
                         if schreier.tobytes() != ident:

@@ -4,10 +4,11 @@ Subcommands build groups from the expression language, compute the
 invariants, reproduce the built-in example families, and emit bound
 reports.  Output on stdout is deterministic: identical arguments and
 tool version produce byte-identical documents (phase timings go to
-stderr).  Exit codes: 0 success, 1 usage error, 2 bound violation,
-claim mismatch or failed order check of a constructed group or Hall
-subgroup, each of which is an implementation bug since the bounds are
-theorems.  A failed order check leaves stdout empty.
+stderr).  Exit codes: 0 success, 1 usage error or out of memory, 2
+bound violation, claim mismatch or failed order check of a constructed
+group or Hall subgroup, each of which is an implementation bug since
+the bounds are theorems.  A failed order check or an out-of-memory
+exit leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -532,6 +533,10 @@ def main(argv=None) -> int:
     except FitlenError as exc:
         print("fitlen: %s" % exc, file=sys.stderr)
         return VIOLATION_EXIT if isinstance(exc, SylowSystemError) else USAGE
+    except MemoryError:
+        print("fitlen: out of memory; the group is too large for this "
+              "process's address space", file=sys.stderr)
+        return USAGE
     sys.stdout.write(doc.render(args.format))
     timer.report()
     return code

@@ -127,7 +127,8 @@ class PermGroup:
         indices = [rng.randrange(len(lv.orbit)) for lv in self.chain.levels]
         arr = _arange(self.degree)
         for lv, k in zip(reversed(self.chain.levels), reversed(indices)):
-            arr = lv.trans[k][arr]
+            u, _ = lv.representative(k)
+            arr = u[arr]
         return Permutation(arr.copy(), _checked=True)
 
     def __repr__(self) -> str:

@@ -138,6 +138,29 @@ def test_uniform_sampling_hits_members():
     assert len(seen) == 6  # all of the order-6 group shows up
 
 
+def test_sampling_order_24_covers_the_group():
+    G = _group("(1 2)", "(1 2 3 4)", degree=4)
+    assert G.order == 24
+    rng = random.Random(13)
+    draws = [G.sample(rng) for _ in range(300)]
+    assert all(G.contains(g) for g in draws)
+    assert len({str(g) for g in draws}) == 24
+    # pinned: how representatives are stored must not change which
+    # element a draw from a given rng state returns
+    assert [str(g) for g in draws[:6]] == [
+        "(1 3 2 4)", "(1 2 4 3)", "(1 2 4 3)", "(1 2)", "(1 3 2)", "(1 2 4 3)"]
+
+
+def test_sampling_is_pinned_on_a_deep_chain():
+    # fifteen levels, so every draw multiplies many derived representatives
+    G = build(parse_expr("W(C(2,1),W(C(3,1),C(5,1)))")).group
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    for _ in range(20):
+        digest.update(G.sample(rng).images.tobytes())
+    assert digest.hexdigest()[:16] == "dcad3b0c3cd3f821"
+
+
 def test_random_generator_sets_match_brute_force():
     rng = random.Random(11)
     for _ in range(15):
@@ -228,7 +251,8 @@ def _assert_schreier_complete(chain):
     ident = np.arange(chain.degree)
     count = 0
     for i, lv in enumerate(chain.levels):
-        for p, u in enumerate(lv.trans):
+        for p in range(len(lv.orbit)):
+            u, _ = lv.representative(p)
             for s in lv.gens:
                 w = s[u]
                 schreier = lv.trans_inv[lv.pos[int(w[lv.point])]][w]
@@ -236,7 +260,7 @@ def _assert_schreier_complete(chain):
                 residue, _ = chain.sift(schreier, i + 1)
                 assert residue is None, (i, p)
                 count += 1
-        assert (lv.trans[0] == ident).all()
+        assert (lv.representative(0)[0] == ident).all()
     return count
 
 
@@ -260,13 +284,14 @@ def _skipped_pairs(chain):
     representative's is its level's base point.
     """
     for i, lv in enumerate(chain.levels):
+        reps = [lv.representative(p)[0] for p in range(len(lv.orbit))]
         assert lv.tsupp[0] == 1 << lv.point
-        for p, u in enumerate(lv.trans):
+        for p, u in enumerate(reps):
             if p:
                 assert lv.tsupp[p] == support_mask(u)
         for g, s in enumerate(lv.gens):
             assert lv.gsupp[g] == support_mask(s)
-            for p, u in enumerate(lv.trans):
+            for p, u in enumerate(reps):
                 if not lv.gsupp[g] & lv.tsupp[p]:
                     yield i, u, s
 
@@ -302,5 +327,37 @@ def test_pinned_orbits_are_closed_and_masked(catalog, w4):
                 assert set(s[orbit].tolist()) == points, (name, i)
             for j, pt in enumerate(lv.orbit):
                 assert lv.pos[pt] == j, (name, i)
-                assert lv.trans[j][lv.point] == pt, (name, i, j)
-                assert (lv.trans_inv[j][lv.trans[j]] == ident).all(), (name, i, j)
+                u, u_inv = lv.representative(j)
+                assert u[lv.point] == pt, (name, i, j)
+                assert (u_inv[u] == ident).all(), (name, i, j)
+
+
+def test_pinned_levels_store_one_array_per_point(catalog, w4):
+    # only the inverse representatives are kept, read-only and intp, and
+    # tmask is the union of their support masks, so it contains omask
+    for name, chain, _ in _pinned_chains(catalog, w4):
+        for i, lv in enumerate(chain.levels):
+            assert not hasattr(lv, "trans"), (name, i)
+            assert len(lv.trans_inv) == len(lv.orbit), (name, i)
+            for a in lv.trans_inv:
+                assert a.dtype == np.intp and a.shape == (chain.degree,)
+                assert not a.flags.writeable, (name, i)
+            union = 0
+            for m in lv.tsupp:
+                union |= m
+            assert lv.tmask == union, (name, i)
+            assert lv.omask & ~lv.tmask == 0, (name, i)
+
+
+def test_pinned_pairs_left_unscanned_are_disjoint(catalog, w4):
+    # a generator that misses tmask does not restart the scan, so on a
+    # verified level every pair past vdone[p] is one the skip rule covers
+    unscanned = 0
+    for name, chain, _ in _pinned_chains(catalog, w4):
+        for i, lv in enumerate(chain.levels):
+            assert lv.vscan == len(lv.orbit), (name, i)
+            for p, done in enumerate(lv.vdone):
+                for g in range(done, len(lv.gens)):
+                    assert not lv.gsupp[g] & lv.tmask, (name, i, p, g)
+                    unscanned += 1
+    assert unscanned > 0

@@ -53,6 +53,24 @@ def test_exponent_tower_over_budget_exits_cleanly():
     assert "Traceback" not in proc.stderr
 
 
+def test_out_of_memory_exits_cleanly():
+    # family 3.2b at ell = 3 (degree 3377) needs more than 1 GB for its
+    # chain, so under a 500 MB cap numpy runs out of memory part-way
+    import resource
+
+    def cap_memory():
+        limit = 500 * 1024 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    expr = "D(C(2,1),IT(W(C(3,1),C(5,1)),3))"
+    proc = subprocess.run(PKG_ARGS + ["build", expr], capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == 1
+    assert "out of memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_iterated_zero_is_usage_error():
     code, _, err = run_cli("build", "IT(C(2,1),0)")
     assert code == 1
