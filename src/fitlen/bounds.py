@@ -78,8 +78,7 @@ def make_cover(subsets: Sequence[Iterable[int]], ground: Iterable[int]) -> Cover
     return Cover(tuple(sorted({_canon(s) for s in subsets})), _canon(ground))
 
 
-def enumerate_covers(ground: Iterable[int], t: int,
-                     include_degenerate: bool = True) -> list[Cover]:
+def enumerate_covers(ground: Iterable[int], t: int) -> list[Cover]:
     """All covers of the given order, each family emitted exactly once.
 
     Members correspond to pairwise-disjoint complements, so the walk
@@ -122,12 +121,11 @@ def enumerate_covers(ground: Iterable[int], t: int,
     for fam in families:
         covers.append(Cover(tuple(sorted(mask_to_member(m) for m in fam)),
                             ground_t))
-    if include_degenerate:
-        families.clear()
-        walk(0, 0, [], t - 1)
-        for fam in families:
-            members = sorted(mask_to_member(m) for m in fam) + [ground_t]
-            covers.append(Cover(tuple(sorted(members)), ground_t))
+    families.clear()
+    walk(0, 0, [], t - 1)
+    for fam in families:
+        members = sorted(mask_to_member(m) for m in fam) + [ground_t]
+        covers.append(Cover(tuple(sorted(members)), ground_t))
     covers.sort(key=lambda c: c.members)
     return covers
 

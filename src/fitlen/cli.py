@@ -149,10 +149,6 @@ def _limits(args):
     return Limits(max_degree=args.max_degree, oracle_cap=args.oracle_cap)
 
 
-def _build_from_args(args):
-    return build(args.expr, default_action=args.action, limits=_limits(args))
-
-
 def _describe_group(doc: Document, cg) -> None:
     doc.add("degree", cg.degree)
     doc.add("order", cg.order)
@@ -163,11 +159,10 @@ def _describe_group(doc: Document, cg) -> None:
 
 # -- subcommands ---------------------------------------------------------------
 # Each fills the document main() has headed and returns its exit code;
-# main() prints the document and the timings.
+# main() builds the group of the expression (None for `example`, which
+# builds its family's own), then prints the document and the timings.
 
-def cmd_build(args, doc: Document, timer: _Timer) -> int:
-    cg = _build_from_args(args)
-    timer.mark("build")
+def cmd_build(args, cg, doc: Document, timer: _Timer) -> int:
     _describe_group(doc, cg)
     report = verify_sylow_system(cg)
     doc.table(["check", "primes", "expected", "actual", "status"])
@@ -179,9 +174,7 @@ def cmd_build(args, doc: Document, timer: _Timer) -> int:
     return OK
 
 
-def cmd_fitting(args, doc: Document, timer: _Timer) -> int:
-    cg = _build_from_args(args)
-    timer.mark("build")
+def cmd_fitting(args, cg, doc: Document, timer: _Timer) -> int:
     profile = hall_profile(cg, [cg.primes])
     doc.add("degree", cg.degree)
     doc.add("order", cg.order)
@@ -190,9 +183,7 @@ def cmd_fitting(args, doc: Document, timer: _Timer) -> int:
     return OK
 
 
-def cmd_hall(args, doc: Document, timer: _Timer) -> int:
-    cg = _build_from_args(args)
-    timer.mark("build")
+def cmd_hall(args, cg, doc: Document, timer: _Timer) -> int:
     sigma = _parse_sigma(args.sigma)
     key = canonical_sigma(cg, sigma)
     sub = hall_subgroup(cg, sigma)
@@ -205,9 +196,7 @@ def cmd_hall(args, doc: Document, timer: _Timer) -> int:
     return OK
 
 
-def cmd_frak(args, doc: Document, timer: _Timer) -> int:
-    cg = _build_from_args(args)
-    timer.mark("build")
+def cmd_frak(args, cg, doc: Document, timer: _Timer) -> int:
     value = frak_h(cg, args.size)
     doc.add("subset-size", args.size)
     doc.add("frak-h", value)
@@ -215,9 +204,7 @@ def cmd_frak(args, doc: Document, timer: _Timer) -> int:
     return OK
 
 
-def cmd_covers(args, doc: Document, timer: _Timer) -> int:
-    cg = _build_from_args(args)
-    timer.mark("build")
+def cmd_covers(args, cg, doc: Document, timer: _Timer) -> int:
     doc.add("primes", _sigma_text(cg.primes))
     w = cg.num_primes
     # no cover has more than w + 1 members (see bounds.check_all)
@@ -246,9 +233,7 @@ def _emit_bound_report(doc: Document, report) -> None:
     doc.add("overall", "pass" if report.overall_pass else "VIOLATION")
 
 
-def cmd_check(args, doc: Document, timer: _Timer) -> int:
-    cg = _build_from_args(args)
-    timer.mark("build")
+def cmd_check(args, cg, doc: Document, timer: _Timer) -> int:
     _describe_group(doc, cg)
     report = check_all(cg, t_max=args.t_max)
     timer.mark("check")
@@ -302,7 +287,7 @@ def _group_level_allowed(key: str, ell: int) -> bool:
     return ell == 1 and key in ("3.2a", "3.2b", "3.3", "3.4")
 
 
-def cmd_example(args, doc: Document, timer: _Timer) -> int:
+def cmd_example(args, cg, doc: Document, timer: _Timer) -> int:
     key = args.family
     ell = args.ell if args.ell is not None else 1
     if ell < 1:
@@ -392,9 +377,7 @@ def _example_35_arith(doc: Document, ell: int) -> None:
     doc.note("implied h'%d + h'%d = %d" % (_R, _S, rest))
 
 
-def cmd_conjecture(args, doc: Document, timer: _Timer) -> int:
-    cg = _build_from_args(args)
-    timer.mark("build")
+def cmd_conjecture(args, cg, doc: Document, timer: _Timer) -> int:
     T = enumerate_group(cg.group, _limits(args))
     timer.mark("enumerate")
     degree = cg.degree
@@ -526,10 +509,16 @@ def main(argv=None) -> int:
     timer = _Timer()
     try:
         # parsed inside the handler, so that a parse error exits 1
-        if getattr(args, "expression", None) is not None:
-            args.expr = parse_expr(args.expression)
+        expression = getattr(args, "expression", None)
+        if expression is not None:
+            args.expr = parse_expr(expression)
         _head(doc, args.subcommand, args)
-        code = args.func(args, doc, timer)
+        cg = None
+        if expression is not None:
+            cg = build(args.expr, default_action=args.action,
+                       limits=_limits(args))
+            timer.mark("build")
+        code = args.func(args, cg, doc, timer)
     except FitlenError as exc:
         print("fitlen: %s" % exc, file=sys.stderr)
         return VIOLATION_EXIT if isinstance(exc, SylowSystemError) else USAGE

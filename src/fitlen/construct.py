@@ -3,17 +3,18 @@
 `build(parse_expr(text))` is the one way to construct a group, and
 `build` alone validates the expression and holds the degree budget.
 Groups are assembled from cyclic and elementary-abelian leaves by
-direct products, wreath products and iterated wreath powers.  Every
-node keeps the recursion that made its generator list as a function
-of a prime set sigma: a leaf outside sigma keeps its points but adds
-no generator, a direct product joins both sides, and A wr B embeds
-A_sigma's generators at one block per orbit of B_sigma and lifts
-B_sigma's.  With every prime this is the group's own list; with sigma
-it generates (A_sigma)^d B_sigma, a Hall sigma-subgroup.  Nothing is
-assumed about either: creation checks the group's exact order against
-the expression's order formula, and `hall_chain` checks that each Hall
-list lies in the group and that its exact chain has the sigma-part of
-that order.
+direct products, wreath products and iterated wreath powers.  The
+recursion makes no group: each node is a record of its degree, its
+expression and the recursion that makes its generator list as a
+function of a prime set sigma.  A leaf outside sigma keeps its points
+but adds no generator, a direct product joins both sides, and A wr B
+embeds A_sigma's generators at one block per orbit of B_sigma and
+lifts B_sigma's.  With every prime this is the group's own list; with
+sigma it generates (A_sigma)^d B_sigma, a Hall sigma-subgroup.
+Nothing is assumed about either: `build` turns the top record into
+the only group, whose exact order it checks against the expression's
+order formula, and `hall_chain` checks that each Hall list lies in the
+group and that its exact chain has the sigma-part of that order.
 
 Point layout of a wreath product A wr B with d top points: coordinate
 i of A occupies points [i*deg(A), (i+1)*deg(A)); top generators permute
@@ -24,7 +25,7 @@ contract, as is left association of iterated products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Optional, Union
+from typing import Callable, Collection, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -275,12 +276,12 @@ class ConstructedGroup:
         return expr_to_text(self.expr)
 
 
-def _constructed(degree: int, expr: GroupExpr,
-                 hall_generators: HallGenerators) -> ConstructedGroup:
-    # _build passes recursions that hold their children's recursions,
-    # never the children, so no intermediate group outlives the build
-    gens = tuple(Permutation(a, _checked=False) for a in hall_generators(None))
-    return ConstructedGroup(PermGroup(degree, gens), expr, hall_generators)
+class _Part(NamedTuple):
+    """A subexpression as _build makes it: no group, only its recursion."""
+
+    degree: int
+    expr: GroupExpr
+    hall_generators: HallGenerators
 
 
 # -- building -------------------------------------------------------------
@@ -293,6 +294,8 @@ def build(expr: GroupExpr, default_action: str = NATURAL,
     the expression and checks the degree budget.  Every leaf has degree
     at least 2 and at most its order, so no subexpression needs a larger
     degree than the whole tree, and _build needs no check of its own.
+    _build returns records, so the group made here is the only one: one
+    chain and one order check per build.
     """
     validate_expr(expr)
     if default_action not in (NATURAL, REGULAR):
@@ -311,7 +314,11 @@ def build(expr: GroupExpr, default_action: str = NATURAL,
             "degree budget exceeded: expression needs degree %s > %d%s"
             % (_degree_text(required, ceiling), limits.max_degree, hint),
             required)
-    return _build(expr, default_action)
+    root = _build(expr, default_action)
+    gens = tuple(Permutation(a, _checked=False)
+                 for a in root.hall_generators(None))
+    return ConstructedGroup(PermGroup(root.degree, gens), root.expr,
+                            root.hall_generators)
 
 
 def _degree_text(degree: int, ceiling: int) -> str:
@@ -338,11 +345,11 @@ def _shift(arr: np.ndarray, offset: int, total: int) -> np.ndarray:
     return out
 
 
-def _build(expr: GroupExpr, default_action: str) -> ConstructedGroup:
+def _build(expr: GroupExpr, default_action: str) -> _Part:
     if isinstance(expr, Cyclic):
         n = expr.p ** expr.k
         images = np.roll(np.arange(n, dtype=np.intp), -1)
-        return _constructed(n, expr, _leaf(expr.p, [images]))
+        return _Part(n, expr, _leaf(expr.p, [images]))
     if isinstance(expr, ElemAbelian):
         p, n = expr.p, expr.k * expr.p
         gens = []
@@ -350,7 +357,7 @@ def _build(expr: GroupExpr, default_action: str) -> ConstructedGroup:
             arr = np.arange(n, dtype=np.intp)
             arr[i * p:(i + 1) * p] = np.roll(np.arange(i * p, (i + 1) * p), -1)
             gens.append(arr)
-        return _constructed(n, expr, _leaf(p, gens))
+        return _Part(n, expr, _leaf(p, gens))
     if isinstance(expr, Direct):
         A = _build(expr.left, default_action)
         B = _build(expr.right, default_action)
@@ -361,7 +368,7 @@ def _build(expr: GroupExpr, default_action: str) -> ConstructedGroup:
             return ([_shift(g, 0, total) for g in left(sigma)]
                     + [_shift(g, offset, total) for g in right(sigma)])
 
-        return _constructed(total, Direct(A.expr, B.expr), hall_generators)
+        return _Part(total, Direct(A.expr, B.expr), hall_generators)
     if isinstance(expr, Wreath):
         return _wreath(_build(expr.base, default_action),
                        _build(expr.top, default_action), expr.action)
@@ -373,8 +380,8 @@ def _build(expr: GroupExpr, default_action: str) -> ConstructedGroup:
     return result
 
 
-def _enumerate_elements(B: ConstructedGroup) -> tuple[list[np.ndarray], dict[bytes, int]]:
-    gens = [g.images for g in B.group.generators]
+def _enumerate_elements(B: _Part) -> tuple[list[np.ndarray], dict[bytes, int]]:
+    gens = B.hall_generators(None)
     ident = _arange(B.degree)
     elems = [ident]
     index = {ident.tobytes(): 0}
@@ -430,15 +437,14 @@ def _block_orbit_reps(d: int, block_perms: list[np.ndarray]) -> list[int]:
     return reps
 
 
-def _wreath(A: ConstructedGroup, B: ConstructedGroup,
-            action: str) -> ConstructedGroup:
+def _wreath(A: _Part, B: _Part, action: str) -> _Part:
     m = A.degree
     if action == NATURAL:
         d, top = B.degree, B.hall_generators
     else:
-        d = B.order
         # every Hall subgroup's top acts on the whole top's element list
         elems, index = _enumerate_elements(B)
+        d = len(elems)
 
         def top(sigma, gens=B.hall_generators):
             return [_right_translation(elems, index, g) for g in gens(sigma)]
@@ -451,7 +457,7 @@ def _wreath(A: ConstructedGroup, B: ConstructedGroup,
                 for a in base_gens]
         return gens + [_lift_block_perm(t, m) for t in blocks]
 
-    return _constructed(n, Wreath(A.expr, B.expr, action), hall_generators)
+    return _Part(n, Wreath(A.expr, B.expr, action), hall_generators)
 
 
 # -- expression text ---------------------------------------------------------

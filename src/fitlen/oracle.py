@@ -190,8 +190,6 @@ def _bfs_closure(degree: int, gens: Sequence[Elem], cap: int) -> list[Elem]:
 
 def enumerate_group(G, limits: Limits = DEFAULT_LIMITS) -> TinyGroup:
     """Enumerate a PermGroup (or generator list) by closure."""
-    if isinstance(G, TinyGroup):
-        return G
     if isinstance(G, PermGroup):
         degree = G.degree
         perms = G.generators

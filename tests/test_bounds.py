@@ -59,14 +59,18 @@ def test_member_outside_ground_rejected():
         is_cover([(2, 7), (3, 5), (5, 2)], (2, 3, 5))
 
 
+def _nondegenerate_covers(ground, t):
+    return [c for c in enumerate_covers(ground, t) if not c.degenerate]
+
+
 def test_unique_nondegenerate_triangle():
-    covers = enumerate_covers((2, 3, 5), 3, include_degenerate=False)
+    covers = _nondegenerate_covers((2, 3, 5), 3)
     assert [c.members for c in covers] == [((2, 3), (2, 5), (3, 5))]
 
 
 def test_full_size_cover_members_have_size_w_minus_one():
     for w, ground in ((3, (2, 3, 5)), (4, (2, 3, 5, 7))):
-        covers = enumerate_covers(ground, w, include_degenerate=False)
+        covers = _nondegenerate_covers(ground, w)
         assert covers
         for cover in covers:
             if cover.order_t == w:
@@ -74,7 +78,7 @@ def test_full_size_cover_members_have_size_w_minus_one():
 
 
 def test_no_nondegenerate_cover_beyond_w():
-    assert enumerate_covers((2, 3, 5), 4, include_degenerate=False) == []
+    assert _nondegenerate_covers((2, 3, 5), 4) == []
 
 
 def test_cover_family_invariants():

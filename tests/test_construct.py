@@ -215,3 +215,25 @@ def test_exponent_tower_order_raises_quickly():
         with pytest.raises(UsageError, match="too large"):
             size(expr)
         assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("text", [
+    "W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))",
+    "D(C(2,1),IT(W(C(3,1),C(5,1)),2))",
+    "W(C(2,1),WR(C(3,1),C(2,1)))",
+])
+def test_build_makes_one_chain(monkeypatch, text):
+    # subexpressions are records, not groups: only the result gets a
+    # chain, and with it the one order check
+    from fitlen import group
+
+    calls = []
+    build_chain = group.build_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(group, "build_chain", counted)
+    cg = build(parse_expr(text))
+    assert calls == [cg.degree]
