@@ -6,8 +6,8 @@ are pairwise disjoint, which is what the enumerator walks over.  The
 weight of a cover is the sum of the Fitting lengths of the matching
 Hall subgroups, and every bound evaluated here is an exact rational
 compared by integer cross-multiplication, never by rounding.  Each
-bound reads the Hall Fitting lengths it needs from the group's profile
-when it needs them, so no Hall subgroup is profiled that no bound reads.
+bound reads the Hall Fitting lengths it needs through hall_profile when
+it needs them, so no Hall subgroup is evaluated that no bound reads.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .construct import ConstructedGroup
 from .errors import UsageError
-from .hall import HallProfile, frak_h, hall_derived_length
+from .hall import frak_h, hall_derived_length, hall_profile
 
 PrimeSet = tuple[int, ...]
 
@@ -82,9 +82,9 @@ def enumerate_covers(ground: Iterable[int], t: int) -> list[Cover]:
     """All covers of the given order, each family emitted exactly once.
 
     Members correspond to pairwise-disjoint complements, so the walk
-    chooses disjoint nonempty complement masks in increasing order; the
-    degenerate variants additionally contain the ground set itself
-    (empty complement).
+    chooses disjoint complement masks in increasing order.  Mask 0, the
+    empty complement, stands for the ground set itself: it is disjoint
+    from every mask, and a family that holds it is degenerate.
     """
     ground_t = _canon(ground)
     w = len(ground_t)
@@ -96,43 +96,31 @@ def enumerate_covers(ground: Iterable[int], t: int) -> list[Cover]:
             % COVER_GROUND_LIMIT)
     if w == 0:
         return []
-    masks = list(range(1, 1 << w))
-    families: list[tuple[int, ...]] = []
-
-    def walk(start: int, used: int, picked: list[int], want: int) -> None:
-        if want == 0:
-            families.append(tuple(picked))
-            return
-        for i in range(start, len(masks)):
-            m = masks[i]
-            if m & used:
-                continue
-            picked.append(m)
-            walk(i + 1, used | m, picked, want - 1)
-            picked.pop()
-
     covers = []
 
     def mask_to_member(mask: int) -> PrimeSet:
         # the member is the complement of the chosen mask
         return tuple(p for i, p in enumerate(ground_t) if not mask & (1 << i))
 
-    walk(0, 0, [], t)
-    for fam in families:
-        covers.append(Cover(tuple(sorted(mask_to_member(m) for m in fam)),
-                            ground_t))
-    families.clear()
-    walk(0, 0, [], t - 1)
-    for fam in families:
-        members = sorted(mask_to_member(m) for m in fam) + [ground_t]
-        covers.append(Cover(tuple(sorted(members)), ground_t))
+    def walk(start: int, used: int, picked: list[int]) -> None:
+        if len(picked) == t:
+            covers.append(Cover(tuple(sorted(map(mask_to_member, picked))),
+                                ground_t))
+            return
+        for m in range(start, 1 << w):
+            if not m & used:
+                picked.append(m)
+                walk(m + 1, used | m, picked)
+                picked.pop()
+
+    walk(0, 0, [])
     covers.sort(key=lambda c: c.members)
     return covers
 
 
-def weight(cover: Cover, profile: HallProfile) -> int:
-    """Theta: the sum of h(G_rho) over the cover members."""
-    return sum(profile.h(m) for m in cover.members)
+def weight(cover: Cover, h: Callable[[PrimeSet], int]) -> int:
+    """Theta: the sum of h(G_rho) over the cover members, read by h(rho)."""
+    return sum(h(m) for m in cover.members)
 
 
 # -- bound formulas ----------------------------------------------------------
@@ -147,20 +135,6 @@ def cover_bound(theta: int, t: int) -> Fraction:
 def triple_bound(h_sigma: int, h_tau: int, h_upsilon: int) -> int:
     """h(G_sigma) + h(G_tau) + h(G_upsilon) - 2 for a pairwise-covering triple."""
     return h_sigma + h_tau + h_upsilon - 2
-
-
-def covering_triple_bound(profile: HallProfile, sigma, tau, upsilon) -> Optional[int]:
-    """The three-subset bound, or None when a pairwise union misses a prime.
-
-    The hypothesis check treats "not applicable" as distinct from any
-    failure: callers get None rather than an exception.
-    """
-    ground = set(profile.primes)
-    parts = [_canon(sigma), _canon(tau), _canon(upsilon)]
-    for a, b in combinations(parts, 2):
-        if set(a) | set(b) != ground:
-            return None
-    return triple_bound(*(profile.h(s) for s in parts))
 
 
 def top_two_bound(complement_values: Sequence[int]) -> int:
@@ -282,8 +256,11 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
     # no cover has more than w + 1 members: at most w complement masks
     # are pairwise disjoint, and a degenerate cover adds the ground set
     t_max = w + 1 if t_max is None else min(t_max, w + 1)
-    profile = HallProfile(cg)
-    h_actual = profile.h(primes)
+
+    def h(sigma: PrimeSet) -> int:
+        return hall_profile(cg, sigma)
+
+    h_actual = h(primes)
 
     entries: list[BoundEntry] = []
 
@@ -291,16 +268,16 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
     if 2 <= w <= COVER_GROUND_LIMIT:
         for t in range(3, t_max + 1):
             for cover in enumerate_covers(primes, t):
-                theta = weight(cover, profile)
+                theta = weight(cover, h)
                 entries.append(_entry(
                     "cover-weight", "t=%d %s theta=%d" % (t, cover, theta),
                     cover_bound(theta, t), h_actual))
 
     # covering-triple specializations, one per unordered prime pair
     for p, q in combinations(primes, 2):
-        hp = profile.h(tuple(r for r in primes if r != p))
-        hq = profile.h(tuple(r for r in primes if r != q))
-        hpq = profile.h((p, q))
+        hp = h(tuple(r for r in primes if r != p))
+        hq = h(tuple(r for r in primes if r != q))
+        hpq = h((p, q))
         entries.append(_entry(
             "covering-triple",
             "p'=%d q'=%d pair=%s" % (p, q, _fmt_set((p, q))),
@@ -308,7 +285,7 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
 
     # top-two complements
     if w >= 4:
-        comp = [profile.h(tuple(r for r in primes if r != p)) for p in primes]
+        comp = [h(tuple(r for r in primes if r != p)) for p in primes]
         entries.append(_entry(
             "top-two", "complements=%s" % (sorted(comp, reverse=True),),
             top_two_bound(comp), h_actual))
@@ -342,9 +319,9 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
 
     # older product bound, per unordered prime pair
     for p, q in combinations(primes, 2):
-        hp = profile.h(tuple(r for r in primes if r != p))
-        hq = profile.h(tuple(r for r in primes if r != q))
-        r_val = profile.h((p, q))
+        hp = h(tuple(r for r in primes if r != p))
+        hq = h(tuple(r for r in primes if r != q))
+        r_val = h((p, q))
         s_val = max(hp, hq)
         entries.append(_entry(
             "product", "p=%d q=%d s=%d r=%d" % (p, q, s_val, r_val),
@@ -355,8 +332,8 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
         for size in range(1, w):
             for sigma in combinations(primes, size):
                 tau = tuple(r for r in primes if r not in sigma)
-                h_a = profile.h(sigma)
-                h_b = profile.h(tau)
+                h_a = h(sigma)
+                h_b = h(tau)
                 d_b = hall_derived_length(cg, tau)
                 entries.append(_entry(
                     "two-factor",

@@ -25,7 +25,7 @@ contract, as is left association of iterated products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, NamedTuple, Optional, Union
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -248,17 +248,6 @@ class ConstructedGroup:
     @property
     def degree(self) -> int:
         return self.group.degree
-
-    @property
-    def system(self) -> dict[int, tuple[Permutation, ...]]:
-        """A Sylow system: for each prime p, the Hall (p,)-list.
-
-        The recursion builds every Hall subgroup as the product of these
-        members, so they permute pairwise.
-        """
-        return {p: tuple(Permutation(a, _checked=True)
-                         for a in hall_chain(self, (p,))[1])
-                for p in self.primes}
 
     @property
     def order(self) -> int:
@@ -549,7 +538,13 @@ def parse_expr(text: str) -> GroupExpr:
 
 # -- Hall chains --------------------------------------------------------------
 
-def hall_chain(cg: ConstructedGroup, sigma: tuple[int, ...]):
+def canonical_sigma(cg: ConstructedGroup,
+                    sigma: Iterable[int]) -> tuple[int, ...]:
+    """sigma restricted to pi(G), sorted and deduplicated."""
+    return tuple(sorted(set(sigma) & set(cg.primes)))
+
+
+def hall_chain(cg: ConstructedGroup, sigma: Iterable[int]):
     """Exact chain and generator list of the Hall sigma-subgroup.
 
     The list is cg.hall_generators for sigma and the chain is built from
@@ -559,7 +554,7 @@ def hall_chain(cg: ConstructedGroup, sigma: tuple[int, ...]):
     generates a Hall sigma-subgroup of G; otherwise SylowSystemError is
     raised.
     """
-    key = tuple(sorted(set(sigma) & set(cg.primes)))
+    key = canonical_sigma(cg, sigma)
     cached = cg._hall_chain_cache.get(key)
     if cached is None:
         what = "%s: Hall {%s}-" % (cg.describe(), ",".join(map(str, key)))

@@ -1,4 +1,4 @@
-"""Hall subgroups, Fitting-length profiles, and the size-graded maxima.
+"""Hall subgroups, their Fitting lengths, and the size-graded maxima.
 
 All Hall subgroups come from the construction a constructed group
 carries: its generator recursion, restricted to the primes in sigma,
@@ -7,28 +7,24 @@ list's order exactly.  There is no search for Hall subgroups in
 arbitrary groups here; the brute-force variant for tiny groups lives
 in the oracle module.
 
-Profile values are read on demand: h(G_sigma) is computed the first
-time any caller reads it and cached on the constructed group, so every
-sigma can be read and none is computed unless something reads it.
+hall_profile(cg, sigma) is the one reader of h(G_sigma): the value is
+computed the first time any caller reads it and cached on the
+constructed group, so every sigma can be read and none is computed
+unless something reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .construct import ConstructedGroup, hall_chain
+from .construct import ConstructedGroup, canonical_sigma, hall_chain
 from .errors import SylowSystemError, UsageError
 from .group import PermGroup, p_part
 from .series import derived_length, fitting_length
 
 PrimeSet = tuple[int, ...]
-
-
-def canonical_sigma(cg: ConstructedGroup, sigma: Iterable[int]) -> PrimeSet:
-    """sigma restricted to pi(G), sorted and deduplicated."""
-    return tuple(sorted(set(sigma) & set(cg.primes)))
 
 
 def hall_subgroup(cg: ConstructedGroup, sigma: Iterable[int]) -> PermGroup:
@@ -53,7 +49,13 @@ def hall_complement(cg: ConstructedGroup, p: int) -> PermGroup:
     return hall_subgroup(cg, tuple(q for q in cg.primes if q != p))
 
 
-def _profile_entry(cg: ConstructedGroup, key: PrimeSet) -> int:
+def hall_profile(cg: ConstructedGroup, sigma: Iterable[int]) -> int:
+    """h(G_sigma), computed on first read and cached on the group.
+
+    sigma is restricted to pi(G) first, so a permuted or repeated sigma,
+    or one with primes outside pi(G), reads the same entry.
+    """
+    key = canonical_sigma(cg, sigma)
     if key not in cg._h_cache:
         # one Sylow p-subgroup of G per prime in key seeds the first
         # nilpotent residual; the seeds need P_p <= H, which the
@@ -70,34 +72,8 @@ def _profile_entry(cg: ConstructedGroup, key: PrimeSet) -> int:
     return cg._h_cache[key]
 
 
-@dataclass(frozen=True)
-class HallProfile:
-    """Fitting lengths of the Hall subgroups of one constructed group.
-
-    h(sigma) reads h(G_sigma) through the group's cache, computing it
-    on first read; sigma is restricted to pi(G) first.
-    """
-
-    cg: ConstructedGroup
-
-    @property
-    def primes(self) -> PrimeSet:
-        return self.cg.primes
-
-    def h(self, sigma: Iterable[int]) -> int:
-        return _profile_entry(self.cg, canonical_sigma(self.cg, sigma))
-
-
-def hall_profile(cg: ConstructedGroup,
-                 subsets: Sequence[Iterable[int]]) -> HallProfile:
-    """The profile of cg, with h(G_sigma) computed now for each listed sigma."""
-    for sigma in subsets:
-        _profile_entry(cg, canonical_sigma(cg, sigma))
-    return HallProfile(cg)
-
-
 def hall_derived_length(cg: ConstructedGroup, sigma: Iterable[int]) -> int:
-    """d(G_sigma), cached like the Fitting-length profile."""
+    """d(G_sigma), cached like hall_profile."""
     key = canonical_sigma(cg, sigma)
     if key not in cg._d_cache:
         cg._d_cache[key] = derived_length(hall_subgroup(cg, key))
@@ -111,7 +87,7 @@ def frak_h(cg: ConstructedGroup, ell: int) -> int:
         raise UsageError("subset size %d out of range 0..%d" % (ell, w))
     if ell == 0:
         return 0
-    return max(_profile_entry(cg, sigma)
+    return max(hall_profile(cg, sigma)
                for sigma in combinations(cg.primes, ell))
 
 

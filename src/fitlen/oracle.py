@@ -188,16 +188,11 @@ def _bfs_closure(degree: int, gens: Sequence[Elem], cap: int) -> list[Elem]:
     return closure.elems
 
 
-def enumerate_group(G, limits: Limits = DEFAULT_LIMITS) -> TinyGroup:
-    """Enumerate a PermGroup (or generator list) by closure."""
-    if isinstance(G, PermGroup):
-        degree = G.degree
-        perms = G.generators
-    else:
-        perms = tuple(G)
-        degree = perms[0].degree if perms else 1
-    gens = [tuple(int(x) for x in g.images) for g in perms]
-    return TinyGroup(degree, _bfs_closure(degree, gens, limits.oracle_cap),
+def enumerate_group(G: PermGroup,
+                    limits: Limits = DEFAULT_LIMITS) -> TinyGroup:
+    """Enumerate a PermGroup by closure."""
+    gens = [tuple(int(x) for x in g.images) for g in G.generators]
+    return TinyGroup(G.degree, _bfs_closure(G.degree, gens, limits.oracle_cap),
                      gens)
 
 

@@ -165,20 +165,6 @@ def commutator_subgroup(H: PermGroup, K: PermGroup,
     return group
 
 
-def _commutator_step(degree: int, left_normal_gens: Sequence[np.ndarray],
-                     right_gens: Sequence[np.ndarray],
-                     conjugators: Sequence[np.ndarray]):
-    """[<X>^G, <right_gens>] as (group, kept_seeds).
-
-    Valid whenever the conjugators generate a group G that normalizes
-    both arguments and the result; [x^g, t] = [x, t^(g^-1)]^g keeps the
-    G-closure of the pairwise commutators equal to the full commutator
-    subgroup.  Repeated commutators are skipped by the closure.
-    """
-    return _closure(degree, _commutators(left_normal_gens, right_gens),
-                    conjugators)
-
-
 def _descend(start, step):
     """Apply step from start until the group stops shrinking.
 
@@ -213,7 +199,8 @@ def derived_series(G: PermGroup) -> SubgroupSeries:
     conj = _gen_arrays(G)
     terms, _ = _descend(
         (G, conj),
-        lambda T, x: _commutator_step(G.degree, x, _gen_arrays(T), conj))
+        lambda T, x: _closure(G.degree, _commutators(x, _gen_arrays(T)),
+                              conj))
     return SubgroupSeries("derived", _stops_at_one(terms, "derived series"))
 
 
@@ -232,7 +219,10 @@ def _central_step(N: PermGroup, conj: Sequence[np.ndarray]):
     series.
     """
     right = _gen_arrays(N)
-    return lambda L, x: _commutator_step(N.degree, x, right, conj)
+    # the closure of the pairwise commutators is [<x>^G, <right>] when
+    # conj generates a group G that normalizes both arguments and the
+    # result, as [x^g, t] = [x, t^(g^-1)]^g; so is the derived step's
+    return lambda L, x: _closure(N.degree, _commutators(x, right), conj)
 
 
 def lower_central_series(H: PermGroup) -> SubgroupSeries:

@@ -5,6 +5,7 @@ lines; criterion 4 needs `--runslow` (extended budget, 35–50 s on a 2-core
 host against its thirty-minute ceiling).
 """
 
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ import pytest
 from fitlen.bounds import (cover_bound, enumerate_covers, is_cover,
                            quadratic_bound, top_two_bound, triple_bound,
                            two_factor_bound, weight)
-from fitlen.construct import build, parse_expr
+from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.hall import hall_derived_length, hall_profile, verify_sylow_system
 from fitlen.oracle import (check_trifactorization, core_sigma, enumerate_group,
                            fitting_length_upper, fitting_subgroup,
@@ -39,17 +40,10 @@ def _verdict(number: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def _complement_profile(cg):
-    subsets = [cg.primes] + [tuple(q for q in cg.primes if q != p)
-                             for p in cg.primes]
-    return hall_profile(cg, subsets)
-
-
 def _measure_family(expr_text):
     cg = build(parse_expr(expr_text))
-    profile = _complement_profile(cg)
-    h = profile.h(cg.primes)
-    comp = {p: profile.h(tuple(q for q in cg.primes if q != p))
+    h = hall_profile(cg, cg.primes)
+    comp = {p: hall_profile(cg, tuple(q for q in cg.primes if q != p))
             for p in cg.primes}
     theta_minus_2 = sum(comp.values()) - 2
     return cg, h, comp, theta_minus_2
@@ -145,8 +139,8 @@ def test_criterion_6_property_suite(catalog):
         w = cg.num_primes
         subsets = [c for size in range(w + 1)
                    for c in itertools.combinations(primes, size)]
-        profile = hall_profile(cg, subsets)
-        h = profile.h(primes)
+        profile = functools.partial(hall_profile, cg)
+        h = profile(primes)
 
         # cover-weight bound over every enumerable cover, plus the
         # cover-family facts (unique missing prime, size sum, order cap,
@@ -176,20 +170,20 @@ def test_criterion_6_property_suite(catalog):
             for trio in itertools.combinations(subsets, 3):
                 ok, _ = is_cover(trio, primes)
                 if ok:
-                    assert h <= triple_bound(*(profile.h(s) for s in trio)), \
+                    assert h <= triple_bound(*(profile(s) for s in trio)), \
                         (name, trio)
                     checked["triples"] += 1
 
         # top-two complement bound
         if w >= 4:
-            values = [profile.h(tuple(q for q in primes if q != p))
+            values = [profile(tuple(q for q in primes if q != p))
                       for p in primes]
             assert h <= top_two_bound(values), name
             checked["toptwo"] += 1
 
         # size-graded recursion and the quadratic closed form
         if w >= 3:
-            frak = {size: max(profile.h(c)
+            frak = {size: max(profile(c)
                               for c in itertools.combinations(primes, size))
                     for size in range(1, w + 1)}
             for ell in range(3, w + 1):
@@ -203,7 +197,7 @@ def test_criterion_6_property_suite(catalog):
         for size in range(1, w):
             for sigma in itertools.combinations(primes, size):
                 tau = tuple(q for q in primes if q not in sigma)
-                bound = two_factor_bound(profile.h(sigma), profile.h(tau),
+                bound = two_factor_bound(profile(sigma), profile(tau),
                                          hall_derived_length(cg, tau))
                 assert h <= bound, (name, sigma)
                 checked["twofactor"] += 1
@@ -277,8 +271,9 @@ def test_criterion_8_engine_calibration(catalog):
 def _hall_gens_tuples(cg, sigma):
     out = []
     for p in sigma:
-        if p in cg.system:
-            out.extend(tuple(int(x) for x in g.images) for g in cg.system[p])
+        if p in cg.primes:
+            out.extend(tuple(int(x) for x in a)
+                       for a in hall_chain(cg, (p,))[1])
     if not out:
         out = [tuple(range(cg.degree))]
     return out

@@ -15,17 +15,6 @@ from fitlen.hall import hall_profile
 from fitlen.series import fitting_length
 
 
-class FixedProfile:
-    """A profile with given values, for the formulas that read one."""
-
-    def __init__(self, primes, values):
-        self.primes = primes
-        self.values = values
-
-    def h(self, sigma):
-        return self.values[tuple(sorted(sigma))]
-
-
 # -- cover machinery ---------------------------------------------------------
 
 def test_triangle_is_a_cover():
@@ -110,8 +99,12 @@ def test_every_enumerated_family_is_a_cover():
 
 def test_weight_sums_member_values():
     cover = make_cover([(2, 3), (3, 5), (5, 2)], (2, 3, 5))
-    profile = FixedProfile((2, 3, 5), {(2, 3): 2, (3, 5): 2, (2, 5): 2})
-    assert weight(cover, profile) == 6
+    values = {(2, 3): 2, (3, 5): 2, (2, 5): 2}
+
+    def h(sigma):  # a fixed profile, read like hall_profile
+        return values[tuple(sorted(sigma))]
+
+    assert weight(cover, h) == 6
 
 
 # -- bound formulas -----------------------------------------------------------
@@ -127,16 +120,6 @@ def test_cover_bound_values():
 def test_triple_bound_values():
     assert triple_bound(2, 2, 2) == 4
     assert triple_bound(3, 3, 3) == 7      # sigma = tau = upsilon = pi form
-
-
-def test_covering_triple_bound_applicability():
-    from fitlen.bounds import covering_triple_bound
-    profile = FixedProfile((2, 3, 5), {
-        (2, 3): 2, (3, 5): 2, (2, 5): 2, (2, 3, 5): 3})
-    assert covering_triple_bound(profile, (3, 5), (2, 5), (2, 3)) == 4
-    full = (2, 3, 5)
-    assert covering_triple_bound(profile, full, full, full) == 7
-    assert covering_triple_bound(profile, (2, 3), (2, 3), (2, 5)) is None
 
 
 def test_top_two_bound_values():
@@ -230,14 +213,13 @@ def test_triple_sweep_exhaustive_small_w(catalog):
         primes = cg.primes
         subsets = [c for size in range(len(primes) + 1)
                    for c in itertools.combinations(primes, size)]
-        profile = hall_profile(cg, subsets)
-        h = profile.h(primes)
+        h = hall_profile(cg, primes)
         checked = 0
         for trio in itertools.combinations(subsets, 3):
             ok, _ = is_cover(trio, primes)
             if not ok:
                 continue
-            bound = triple_bound(*(profile.h(s) for s in trio))
+            bound = triple_bound(*(hall_profile(cg, s) for s in trio))
             assert h <= bound, (name, trio)
             checked += 1
         assert checked > 0, name
@@ -248,9 +230,7 @@ def test_triple_sweep_exhaustive_small_w(catalog):
 def test_top_two_on_w4_groups(catalog):
     for name in ("d210", "d840", "w4big"):
         cg = catalog[name]
-        profile = hall_profile(
-            cg, [tuple(q for q in cg.primes if q != p) for p in cg.primes])
-        values = [profile.h(tuple(q for q in cg.primes if q != p))
+        values = [hall_profile(cg, tuple(q for q in cg.primes if q != p))
                   for p in cg.primes]
         h = fitting_length(cg.group)
         assert h <= top_two_bound(values), name

@@ -220,7 +220,7 @@ def _pinned_chains(catalog, w4):
         yield "build/" + name, chain, kept
     for name in ("ex33", "w4big"):
         cg = catalog[name]
-        system = {p: [g.images for g in cg.system[p]] for p in cg.primes}
+        system = {p: hall_chain(cg, (p,))[1] for p in cg.primes}
         for label, series in (
                 ("derived", derived_series(cg.group)),
                 ("lower_central", lower_central_series(cg.group)),

@@ -59,37 +59,58 @@ def test_complement_convention(ex32a):
 
 def test_profile_singletons_are_one(catalog):
     for name, cg in catalog.items():
-        singles = [(p,) for p in cg.primes]
-        profile = hall_profile(cg, singles)
         for p in cg.primes:
-            assert profile.h((p,)) == 1, (name, p)
+            assert hall_profile(cg, (p,)) == 1, (name, p)
 
 
 def test_profile_empty_and_full(ex32a):
-    profile = hall_profile(ex32a, [(), (2, 3, 5)])
-    assert profile.h(()) == 0
-    assert profile.h((2, 3, 5)) == fitting_length(ex32a.group) == 3
+    assert hall_profile(ex32a, ()) == 0
+    assert hall_profile(ex32a, (2, 3, 5)) == fitting_length(ex32a.group) == 3
 
 
 def test_profile_example_values(ex32a):
-    profile = hall_profile(ex32a, [(3, 5), (2, 5), (2, 3)])
-    assert profile.h((3, 5)) == 2
-    assert profile.h((2, 5)) == 2
-    assert profile.h((2, 3)) == 2
+    assert hall_profile(ex32a, (3, 5)) == 2
+    assert hall_profile(ex32a, (2, 5)) == 2
+    assert hall_profile(ex32a, (2, 3)) == 2
 
 
-def test_profile_reads_unlisted_sets_on_demand():
+def test_profile_reads_unlisted_sets_on_demand(monkeypatch):
     cg = build(parse_expr("W(C(2,1),W(C(3,1),C(5,1)))"))
-    profile = hall_profile(cg, [(2, 3)])
+    assert hall_profile(cg, (2, 3)) == 2
     assert list(cg._h_cache) == [(2, 3)]
-    assert profile.h((5, 2, 7)) == 2
+    assert hall_profile(cg, (5, 2, 7)) == 2
     assert list(cg._h_cache) == [(2, 3), (2, 5)]
+
+    # the value of a prime set does not depend on the order of reads
+    w4 = "W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"
+    forward, backward = build(parse_expr(w4)), build(parse_expr(w4))
+    sigmas = [sigma for size in range(1, 5)
+              for sigma in itertools.combinations(forward.primes, size)]
+    assert len(sigmas) == 15
+    for sigma in sigmas:
+        hall_profile(forward, sigma)
+    for sigma in reversed(sigmas):
+        hall_profile(backward, sigma)
+    assert forward._h_cache == backward._h_cache
+    assert len(forward._h_cache) == 15
+
+    # a permuted or repeated sigma, or one with primes outside pi(G),
+    # reads the cached entry and computes nothing
+    def no_compute(*args, **kwargs):
+        raise AssertionError("cached prime set evaluated again")
+
+    monkeypatch.setattr("fitlen.hall.fitting_length", no_compute)
+    for sigma in sigmas:
+        want = forward._h_cache[sigma]
+        for variant in (sigma[::-1], sigma + sigma, sigma + (11, 13)):
+            assert hall_profile(forward, variant) == want, variant
+    assert len(forward._h_cache) == 15
 
 
 def test_profile_cache_shared(ex32a):
-    a = hall_profile(ex32a, [(2, 3)])
-    b = hall_profile(ex32a, [(2, 3)])
-    assert a.h((2, 3)) == b.h((2, 3))
+    a = hall_profile(ex32a, (2, 3))
+    assert ex32a._h_cache[(2, 3)] == a
+    assert hall_profile(ex32a, (3, 2)) == a
     assert (2, 3) in ex32a._h_cache
 
 
@@ -185,7 +206,7 @@ def test_conjugated_sylow_seeds_give_the_same_residual():
     # system: replace one member by a conjugate that no longer permutes
     # with another, and the lower nilpotent series stays the same
     cg = build(parse_expr("W(C(5,1),W(C(2,1),C(3,1)))"))
-    seeds = {p: [g.images for g in gens] for p, gens in cg.system.items()}
+    seeds = {p: hall_chain(cg, (p,))[1] for p in cg.primes}
     factored = cg.group.factored_order
     words = [g.images for g in cg.group.generators]
     words += [compose_arrays(a, b) for a, b in itertools.product(words, words)]

@@ -6,7 +6,7 @@ import pytest
 from conftest import brute_force_elements
 
 from fitlen.config import Limits
-from fitlen.construct import build, parse_expr
+from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.errors import NotSolubleError, OracleScaleError
 from fitlen.group import PermGroup, factorize, p_part
 from fitlen.hall import hall_derived_length
@@ -226,9 +226,9 @@ def test_product_order_formula_sampled(oracle_catalog):
         if cg.num_primes < 2 or cg.order > 400:
             continue
         T = enumerate_group(cg.group)
-        subs = [subgroup_closure(T, [tuple(int(i) for i in g.images)
-                                     for g in gens])
-                for _, gens in sorted(cg.system.items())]
+        subs = [subgroup_closure(T, [tuple(int(i) for i in a)
+                                     for a in hall_chain(cg, (p,))[1]])
+                for p in cg.primes]
         for H, K in itertools.combinations(subs, 2):
             hk = product_set_order(H, K)
             meet = len(set(H.elements) & set(K.elements))
@@ -242,9 +242,9 @@ def test_product_set_matches_every_pair(oracle_catalog):
         if cg.num_primes < 2 or cg.order > 400:
             continue
         T = enumerate_group(cg.group)
-        subs = [subgroup_closure(T, [tuple(int(i) for i in g.images)
-                                     for g in gens])
-                for _, gens in sorted(cg.system.items())] + [T]
+        subs = [subgroup_closure(T, [tuple(int(i) for i in a)
+                                     for a in hall_chain(cg, (p,))[1]])
+                for p in cg.primes] + [T]
         lefts = [S.elements for S in subs] + [T.elements[::3]]
         for left in lefts:
             for K in subs:
@@ -334,7 +334,7 @@ def test_degree_one_groups_end_to_end():
     assert T.order == 1 and T.elements == [(0,)]
     assert core_sigma(T, (2,)).order == 1
     assert fitting_length_upper(T) == 0
-    U = enumerate_group([Permutation.identity(1)])
+    U = enumerate_group(PermGroup(1, [Permutation.identity(1)]))
     assert U.gens == [(0,)] and U.order == 1
     assert U.conjugacy_classes() == [[(0,)]]
     assert core_sigma(U, (3,)).elements == [(0,)]

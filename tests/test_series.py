@@ -7,7 +7,7 @@ tiny groups involved; see test_oracle for the systematic sweeps.
 
 import pytest
 
-from fitlen.construct import build, parse_expr
+from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.errors import ContainmentError, NotSolubleError
 from fitlen.group import PermGroup
 from fitlen.perms import Permutation, parse_cycles
@@ -145,7 +145,7 @@ def test_lower_central_series_of_sylow_2_subgroups():
 def test_system_seeded_residual_matches_generic(catalog):
     for name in ("c6", "w32", "w23", "d120", "ex32b", "d840"):
         cg = catalog[name]
-        sysg = {p: [g.images for g in gens] for p, gens in cg.system.items()}
+        sysg = {p: hall_chain(cg, (p,))[1] for p in cg.primes}
         assert fitting_length(cg.group) == fitting_length(
             cg.group, system_gens=sysg), name
 
@@ -218,7 +218,7 @@ def test_series_generator_lists_are_irredundant(catalog, name):
     cg = catalog[name]
     for sigma, H in _hall_subgroups(cg):
         assert _redundant(H) == 0, sigma
-        system = {p: [g.images for g in cg.system[p]] for p in sigma}
+        system = {p: hall_chain(cg, (p,))[1] for p in sigma}
         for series in (derived_series(H),
                        lower_nilpotent_series(H),
                        lower_nilpotent_series(H, system_gens=system)):
@@ -227,7 +227,7 @@ def test_series_generator_lists_are_irredundant(catalog, name):
 
 
 def test_hall_lists_of_a_four_prime_group_are_irredundant():
-    from fitlen.construct import build, parse_expr
+    from fitlen.construct import build, hall_chain, parse_expr
 
     cg = build(parse_expr("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"))
     for sigma, H in _hall_subgroups(cg):
