@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -199,6 +200,35 @@ def test_hall_list_outside_the_group_raises():
     assert build_chain(6, hall_generators((2,)))[0].order() == 8
     with pytest.raises(SylowSystemError, match="generator 2 lies outside"):
         hall_subgroup(bad, (2,))
+
+
+def test_sylow_list_outside_the_hall_subgroup_raises():
+    # a conjugate of the Hall {2,3}-list lies in G and has the {2,3}-part
+    # of |G| as its order, so only the sift of the Sylow 2-list into its
+    # chain sees that it is not the subgroup the seeds came from; the
+    # {2,3}-subgroup must not be normal, so it is the top, not the base
+    cg = build(parse_expr("W(C(5,1),W(C(2,1),C(3,1)))"))
+    pair, sylow = cg.hall_generators((2, 3)), cg.hall_generators((2,))
+    words = [g.images for g in cg.group.generators]
+    words += [compose_arrays(a, b) for a, b in itertools.product(words, words)]
+    for x in words:
+        x_inv = invert_array(x)
+        conj = [compose_arrays(compose_arrays(x_inv, g), x) for g in pair]
+        chain, _ = build_chain(cg.degree, conj)
+        if any(chain.sift(g)[0] is not None for g in sylow):
+            break
+    else:
+        raise AssertionError("no conjugate of the {2,3}-list misses P_2")
+    assert chain.order() == p_part(cg.group.factored_order, (2, 3))
+    assert all(cg.group.chain.contains_array(g) for g in conj)
+
+    def hall_generators(sigma):
+        return conj if sigma == (2, 3) else cg.hall_generators(sigma)
+
+    bad = ConstructedGroup(cg.group, cg.expr, hall_generators)
+    with pytest.raises(SylowSystemError, match=re.escape(
+            "a Sylow 2-generator lies outside the Hall {2,3}-subgroup")):
+        hall_profile(bad, (2, 3))
 
 
 def test_conjugated_sylow_seeds_give_the_same_residual():
