@@ -229,13 +229,15 @@ class ConstructedGroup:
     sigma-subgroup, built by the recursion that built the group's own
     generator list, hall_generators(None).  Creation builds the group's
     chain exactly and requires its order to equal the expression's order
-    formula.
+    formula.  _hall_records holds, per canonical sigma, the proof record
+    (generator list, exact order) that hall_chain leaves; the group's
+    chain is the only one kept.
     """
 
     group: PermGroup
     expr: GroupExpr
     hall_generators: HallGenerators
-    _hall_chain_cache: dict = field(default_factory=dict, repr=False)
+    _hall_records: dict = field(default_factory=dict, repr=False)
     _h_cache: dict = field(default_factory=dict, repr=False)
     _d_cache: dict = field(default_factory=dict, repr=False)
 
@@ -545,28 +547,31 @@ def canonical_sigma(cg: ConstructedGroup,
 
 
 def hall_chain(cg: ConstructedGroup, sigma: Iterable[int]):
-    """Exact chain and generator list of the Hall sigma-subgroup.
+    """Build and prove the exact chain of the Hall sigma-subgroup.
 
     The list is cg.hall_generators for sigma and the chain is built from
-    it by Schreier-Sims; both are cached per canonical sigma on the
-    constructed group.  Every generator must sift into the group's chain
-    and the chain's order must be the sigma-part of |G|, so the list
-    generates a Hall sigma-subgroup of G; otherwise SylowSystemError is
-    raised.
+    it by Schreier-Sims.  Every generator must sift into the group's
+    chain, the chain's order must be the sigma-part of |G|, and for
+    2 <= |sigma| < w each Sylow p-list, p in sigma, must sift into the
+    chain, since hall_profile seeds from them; otherwise SylowSystemError
+    is raised.  Returns (chain, list) and caches only the proof record
+    (list, chain order) in cg._hall_records: no chain outlives its proof.
     """
     key = canonical_sigma(cg, sigma)
-    cached = cg._hall_chain_cache.get(key)
-    if cached is None:
-        what = "%s: Hall {%s}-" % (cg.describe(), ",".join(map(str, key)))
-        gens = cg.hall_generators(key)
-        for i, g in enumerate(gens):
-            if cg.group.chain.sift(g)[0] is not None:
-                raise SylowSystemError(
-                    what + "generator %d lies outside the group" % i)
-        chain, _ = build_chain(cg.degree, gens)
-        expected = p_part(cg.group.factored_order, key)
-        if chain.order() != expected:
-            raise SylowSystemError(what + "subgroup has order %d, not %d"
-                                   % (chain.order(), expected))
-        cached = cg._hall_chain_cache[key] = (chain, gens)
-    return cached
+    name, hall = cg.describe(), "Hall {%s}-" % ",".join(map(str, key))
+    gens = cg.hall_generators(key)
+    for i, g in enumerate(gens):
+        if cg.group.chain.sift(g)[0] is not None:
+            raise SylowSystemError("%s: %sgenerator %d lies outside the "
+                                   "group" % (name, hall, i))
+    chain, _ = build_chain(cg.degree, gens)
+    expected = p_part(cg.group.factored_order, key)
+    if chain.order() != expected:
+        raise SylowSystemError("%s: %ssubgroup has order %d, not %d"
+                               % (name, hall, chain.order(), expected))
+    for p in key if 2 <= len(key) < cg.num_primes else ():
+        if any(chain.sift(g)[0] is not None for g in cg.hall_generators((p,))):
+            raise SylowSystemError("%s: a Sylow %d-generator lies outside "
+                                   "the %ssubgroup" % (name, p, hall))
+    cg._hall_records[key] = (gens, chain.order())
+    return chain, gens

@@ -31,11 +31,13 @@ class PermGroup:
 
     Order, membership and prime data all come from the stabilizer
     chain, which is built on first use.  Instances are immutable once
-    the chain exists.
+    the chain exists.  _order is the order of a complete, verified chain
+    that was built elsewhere and dropped; never a formula's claim.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
-                 _chain: Optional[StabilizerChain] = None):
+                 _chain: Optional[StabilizerChain] = None,
+                 _order: Optional[int] = None):
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatchError(
@@ -45,6 +47,7 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self._chain = _chain
+        self._order = _order
         self._factored: Optional[dict[int, int]] = None
 
     @classmethod
@@ -53,9 +56,10 @@ class PermGroup:
 
     @classmethod
     def from_arrays(cls, degree: int, arrays: Sequence[np.ndarray],
-                    chain: Optional[StabilizerChain] = None) -> "PermGroup":
+                    chain: Optional[StabilizerChain] = None,
+                    order: Optional[int] = None) -> "PermGroup":
         gens = tuple(Permutation(a, _checked=True) for a in arrays)
-        return cls(degree, gens, _chain=chain)
+        return cls(degree, gens, _chain=chain, _order=order)
 
     @property
     def chain(self) -> StabilizerChain:
@@ -66,7 +70,7 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return self.chain.order()
+        return self.chain.order() if self._order is None else self._order
 
     @property
     def factored_order(self) -> dict[int, int]:

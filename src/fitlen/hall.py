@@ -3,9 +3,11 @@
 All Hall subgroups come from the construction a constructed group
 carries: its generator recursion, restricted to the primes in sigma,
 lists generators of a Hall sigma-subgroup, and `hall_chain` proves the
-list's order exactly.  There is no search for Hall subgroups in
-arbitrary groups here; the brute-force variant for tiny groups lives
-in the oracle module.
+list's order exactly.  What is cached per sigma is that proof's record,
+the generator list and the exact order; the chain is dropped after the
+proof, and the readers below need only the list and the order.  There
+is no search for Hall subgroups in arbitrary groups here; the
+brute-force variant for tiny groups lives in the oracle module.
 
 hall_profile(cg, sigma) is the one reader of h(G_sigma): the value is
 computed the first time any caller reads it and cached on the
@@ -20,7 +22,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .construct import ConstructedGroup, canonical_sigma, hall_chain
-from .errors import SylowSystemError, UsageError
+from .errors import UsageError
 from .group import PermGroup, p_part
 from .series import derived_length, fitting_length
 
@@ -38,8 +40,10 @@ def hall_subgroup(cg: ConstructedGroup, sigma: Iterable[int]) -> PermGroup:
         return cg.group
     if not key:
         return PermGroup.trivial(cg.degree)
-    chain, gens = hall_chain(cg, key)
-    return PermGroup.from_arrays(cg.degree, gens, chain=chain)
+    if key not in cg._hall_records:
+        hall_chain(cg, key)
+    gens, order = cg._hall_records[key]
+    return PermGroup.from_arrays(cg.degree, gens, order=order)
 
 
 def hall_complement(cg: ConstructedGroup, p: int) -> PermGroup:
@@ -59,15 +63,10 @@ def hall_profile(cg: ConstructedGroup, sigma: Iterable[int]) -> int:
     if key not in cg._h_cache:
         # one Sylow p-subgroup of G per prime in key seeds the first
         # nilpotent residual; the seeds need P_p <= H, which the
-        # construction gives and this sift checks
+        # construction gives and hall_chain's proof of H checks
         H = hall_subgroup(cg, key)
-        seeds = {p: hall_chain(cg, (p,))[1] for p in key}
-        for p, gens in seeds.items():
-            if any(H.chain.sift(g)[0] is not None for g in gens):
-                raise SylowSystemError(
-                    "%s: a Sylow %d-generator lies outside the Hall "
-                    "{%s}-subgroup" % (cg.describe(), p,
-                                       ",".join(map(str, key))))
+        seeds = {p: [g.images for g in hall_subgroup(cg, (p,)).generators]
+                 for p in key}
         cg._h_cache[key] = fitting_length(H, system_gens=seeds)
     return cg._h_cache[key]
 
@@ -109,15 +108,16 @@ class SylowSystemReport:
 def verify_sylow_system(cg: ConstructedGroup) -> SylowSystemReport:
     """Prove the order of every Sylow subgroup and every pairwise join.
 
-    Each order is read from the exact chain of the matching Hall list
-    (hall_chain), which raises SylowSystemError unless it equals the
-    expected sigma-part of |G|; so every check in the report holds.
+    Each order is the one hall_chain proved on the exact chain of the
+    matching Hall list, which raises SylowSystemError unless it equals
+    the expected sigma-part of |G|; so every check in the report holds.
+    Only G's chain and the one being proved are alive at any time.
     """
     factored = cg.group.factored_order
 
     def check(sigma: PrimeSet) -> SylowCheck:
         return SylowCheck(sigma, p_part(factored, sigma),
-                          hall_chain(cg, sigma)[0].order())
+                          hall_subgroup(cg, sigma).order)
 
     return SylowSystemReport(
         tuple(check((p,)) for p in cg.primes),

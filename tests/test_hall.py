@@ -1,8 +1,11 @@
+import gc
 import itertools
 import re
+import weakref
 
 import pytest
 
+from fitlen.bounds import check_all
 from fitlen.chain import build_chain
 from fitlen.construct import (ConstructedGroup, build, expr_order, hall_chain,
                               parse_expr)
@@ -155,21 +158,52 @@ def test_verify_reports_expected_triple():
 
 def assert_hall_chains_certified(cg, name=None):
     """Every Hall chain is Schreier-complete, and its order is the
-    sigma-part of the order the expression gives."""
+    sigma-part of the order the expression gives and the order that
+    hall_subgroup reads from its proof record."""
     for size in range(1, cg.num_primes + 1):
         for sigma in itertools.combinations(cg.primes, size):
+            recorded = hall_subgroup(cg, sigma).order
             chain, _ = hall_chain(cg, sigma)
             _assert_schreier_complete(chain)
             rest, part = expr_order(cg.expr), 1
             for p in sigma:
                 while rest % p == 0:
                     rest, part = rest // p, part * p
-            assert chain.order() == part, (name, sigma)
+            assert chain.order() == part == recorded, (name, sigma)
 
 
 def test_hall_chains_certified_on_catalog(catalog):
     for name, cg in catalog.items():
         assert_hall_chains_certified(cg, name)
+
+
+def test_check_proves_each_hall_subgroup_once_and_keeps_no_chain(
+        monkeypatch):
+    # check-wide-w4's group: check_all reads all 15 prime sets, and each
+    # of the 14 proper ones is proved by one chain that dies after it
+    from fitlen import construct, group
+
+    cg = build(parse_expr("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"))
+    chains = []
+
+    def counted(degree, arrays):
+        chain, kept = build_chain(degree, arrays)
+        chains.append(weakref.ref(chain))
+        return chain, kept
+
+    def refused(degree, arrays):
+        raise AssertionError("PermGroup.chain built during check_all")
+
+    monkeypatch.setattr(construct, "build_chain", counted)
+    monkeypatch.setattr(group, "build_chain", refused)
+    assert check_all(cg).overall_pass
+    proper = [sigma for size in (1, 2, 3)
+              for sigma in itertools.combinations(cg.primes, size)]
+    assert len(chains) == len(proper) == 14
+    assert sorted(cg._hall_records) == sorted(proper)
+    assert all(hall_subgroup(cg, sigma)._chain is None for sigma in proper)
+    gc.collect()
+    assert [ref() for ref in chains] == [None] * 14
 
 
 def test_hall_subgroup_with_miswired_embedding_raises(monkeypatch):
