@@ -24,7 +24,7 @@ from .errors import (ContainmentError, DegreeBudgetError, DegreeMismatchError,
 from .group import PermGroup, factorize, p_part
 from .hall import (SylowSystemReport, frak_h, hall_complement, hall_profile,
                    hall_subgroup, verify_sylow_system)
-from .perms import Permutation, compose, parse_cycles
+from .perms import Permutation, parse_cycles
 from .series import (SubgroupSeries, commutator_subgroup, derived_length,
                      derived_series, fitting_length, is_nilpotent,
                      lower_central_series, lower_nilpotent_series,

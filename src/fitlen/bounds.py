@@ -39,10 +39,6 @@ class Cover:
     ground: PrimeSet
 
     @property
-    def order_t(self) -> int:
-        return len(self.members)
-
-    @property
     def degenerate(self) -> bool:
         return self.ground in self.members
 
@@ -182,9 +178,9 @@ def lambda_inequality_holds(w: int, lam: int) -> bool:
     return w * lam - 4 <= 2 * (w - 2) * (lam - 1)
 
 
-def lambda_sweep_ok(w_range=range(4, 17), lam_range=range(4, 65)) -> bool:
+def lambda_sweep_ok() -> bool:
     return all(lambda_inequality_holds(w, lam)
-               for w in w_range for lam in lam_range)
+               for w in range(4, 17) for lam in range(4, 65))
 
 
 # -- the aggregate report ----------------------------------------------------
@@ -222,9 +218,7 @@ def _na(name: str, inputs: str) -> BoundEntry:
 
 @dataclass(frozen=True)
 class BoundReport:
-    group_id: str
     h_actual: int
-    primes: PrimeSet
     entries: tuple[BoundEntry, ...]
     lambda_sweep_passed: bool
 
@@ -341,9 +335,7 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
                     two_factor_bound(h_a, h_b, d_b), h_actual))
 
     return BoundReport(
-        group_id=cg.describe(),
         h_actual=h_actual,
-        primes=primes,
         entries=tuple(entries),
         lambda_sweep_passed=lambda_sweep_ok(),
     )

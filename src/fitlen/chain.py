@@ -18,8 +18,7 @@ Each level stores one array per orbit point: the inverse u^-1 of the
 point's coset representative u, which is all that sift reads.  A new
 point's inverse comes from its parent's as (h u)^-1 = u^-1 h^-1, and u
 itself is inverted back only where it is needed: in verification, once
-per point per scan, and in sampling.  So a level costs 8 x degree bytes
-per orbit point.
+per point per scan.  So a level costs 8 x degree bytes per orbit point.
 
 A chain is complete when every Schreier generator sifts to the
 identity; its orbit product is then the group's order.  Every chain
@@ -87,7 +86,11 @@ class _Level:
         self.vscan = 0
 
     def representative(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(u, u^-1) for the coset representative u of orbit point j."""
+        """(u, u^-1) for the coset representative u of orbit point j.
+
+        Nothing in the engine calls it; it stays for the chain-invariant
+        tests, which read representatives through it.
+        """
         u_inv = self.trans_inv[j]
         return invert_array(u_inv), u_inv
 

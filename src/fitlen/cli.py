@@ -255,10 +255,8 @@ def _family_expr(key: str, ell: int, action: str = NATURAL):
         return Direct(P, Iterated(wr(Q, R), ell))
     if key == "3.3":
         return wr(Iterated(wr(P, Q), ell), Iterated(wr(R, Q), ell))
-    if key == "3.4":
-        return wr(wr(Iterated(wr(P, Q), ell), Iterated(wr(R, P), ell)),
-                  Iterated(wr(Q, R), ell))
-    return None
+    return wr(wr(Iterated(wr(P, Q), ell), Iterated(wr(R, P), ell)),
+              Iterated(wr(Q, R), ell))
 
 
 def _family_claims(key: str, ell: int):
@@ -278,12 +276,6 @@ def _family_claims(key: str, ell: int):
     raise UsageError("unknown example family %r" % key)
 
 
-def _group_level_allowed(key: str, ell: int) -> bool:
-    # group-scale runs are pinned per family; everything else is
-    # arithmetic-only regardless of the degree budget
-    return ell == 1 and key in ("3.2a", "3.2b", "3.3", "3.4")
-
-
 def cmd_example(args, cg, doc: Document, timer: _Timer) -> int:
     key = args.family
     ell = args.ell if args.ell is not None else 1
@@ -291,16 +283,17 @@ def cmd_example(args, cg, doc: Document, timer: _Timer) -> int:
         raise UsageError("ell must be at least 1")
     doc.add("family", key)
     doc.add("ell-used", ell)
-    if key == "3.5-arith":
-        _example_35_arith(doc, ell)
-        return OK
-
-    claims = _family_claims(key, ell)
-    if not _group_level_allowed(key, ell):
+    claims = None if key == "3.5-arith" else _family_claims(key, ell)
+    # group-scale runs are pinned per family at ell = 1; everything else
+    # is arithmetic-only regardless of the degree budget
+    if claims is None or ell != 1:
         doc.add("mode", "arithmetic-only")
         doc.note("group-level run not feasible at this scale; "
                  "claimed formulas instantiated and checked numerically")
-        _example_arith_only(doc, key, ell, claims)
+        if claims is None:
+            _example_35_arith(doc, ell)
+        else:
+            _example_arith_only(doc, key, ell, claims)
         return OK
 
     doc.add("mode", "group")
@@ -349,9 +342,6 @@ def _example_arith_only(doc: Document, key: str, ell: int, claims) -> None:
 
 
 def _example_35_arith(doc: Document, ell: int) -> None:
-    doc.add("mode", "arithmetic-only")
-    doc.note("group-level run not feasible at this scale; "
-             "claimed formulas instantiated and checked numerically")
     h = 12 * ell
     hp = 4 * ell + 3
     hq = 4 * ell + 2

@@ -7,8 +7,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import StabilizerChain, build_chain
-from .errors import ContainmentError, DegreeMismatchError
-from .perms import Permutation, _arange
+from .errors import DegreeMismatchError
+from .perms import Permutation
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer, by trial division."""
@@ -98,18 +98,6 @@ class PermGroup:
             )
         return self.chain.contains_array(g.images)
 
-    def __contains__(self, g: Permutation) -> bool:
-        return self.contains(g)
-
-    def subgroup(self, gens: Sequence[Permutation]) -> "PermGroup":
-        """The subgroup generated by gens, which must all lie in this group."""
-        for g in gens:
-            if not self.contains(g):
-                raise ContainmentError(
-                    "generator %s is not an element of the group" % g
-                )
-        return PermGroup(self.degree, gens)
-
     def reduced(self) -> "PermGroup":
         """An equal group whose generator list carries no redundant entries.
 
@@ -121,19 +109,6 @@ class PermGroup:
         chain, kept = build_chain(self.degree, arrays)
         gens = tuple(self.generators[i] for i in kept)
         return PermGroup(self.degree, gens, _chain=chain)
-
-    def sample(self, rng) -> Permutation:
-        """Uniform random element (rng is a random.Random).
-
-        Walks the chain deepest level first, so the product runs
-        stabilizer-part-then-coset-representative at every level.
-        """
-        indices = [rng.randrange(len(lv.orbit)) for lv in self.chain.levels]
-        arr = _arange(self.degree)
-        for lv, k in zip(reversed(self.chain.levels), reversed(indices)):
-            u, _ = lv.representative(k)
-            arr = u[arr]
-        return Permutation(arr.copy(), _checked=True)
 
     def __repr__(self) -> str:
         if self._chain is not None:

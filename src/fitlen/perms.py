@@ -118,10 +118,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._wrap(invert_array(self.images))
 
-    def conjugated_by(self, x: "Permutation") -> "Permutation":
-        """x^-1 * self * x."""
-        return x.inverse() * self * x
-
     def __call__(self, point: int) -> int:
         return int(self.images[point])
 
@@ -175,11 +171,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return "Permutation[%d] %s" % (self.degree, self)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Apply a first, then b."""
-    return a * b
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

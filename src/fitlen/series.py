@@ -103,8 +103,6 @@ def _closure(degree: int, seeds: Iterable[np.ndarray],
     """
     chain = StabilizerChain(degree)
     kept: list[np.ndarray] = []
-    kept_seeds: list[np.ndarray] = []
-    frontier: list[np.ndarray] = []
     seen: set[bytes] = set()
     for s in seeds:
         key = s.tobytes()
@@ -113,12 +111,12 @@ def _closure(degree: int, seeds: Iterable[np.ndarray],
         seen.add(key)
         if chain.add_generator(s):
             kept.append(s)
-            kept_seeds.append(s)
-            frontier.append(s)
+    kept_seeds = list(kept)
     conj_items = [(c, invert_array(c), support_mask(c)) for c in conjugators]
+    # kept is also the queue: each kept element is conjugated once
     qi = 0
-    while qi < len(frontier):
-        x = frontier[qi]
+    while qi < len(kept):
+        x = kept[qi]
         x_mask = support_mask(x)
         qi += 1
         for c, c_inv, c_mask in conj_items:
@@ -132,7 +130,6 @@ def _closure(degree: int, seeds: Iterable[np.ndarray],
             seen.add(key)
             if chain.add_generator(y):
                 kept.append(y)
-                frontier.append(y)
     return PermGroup.from_arrays(degree, kept, chain=chain), kept_seeds
 
 

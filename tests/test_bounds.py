@@ -62,7 +62,7 @@ def test_full_size_cover_members_have_size_w_minus_one():
         covers = _nondegenerate_covers(ground, w)
         assert covers
         for cover in covers:
-            if cover.order_t == w:
+            if len(cover.members) == w:
                 assert all(len(m) == w - 1 for m in cover.members)
 
 
