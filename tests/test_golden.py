@@ -18,6 +18,7 @@ import pytest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EX32A = "W(C(2,1),W(C(3,1),C(5,1)))"
 W4 = "W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"
+W5 = "W(W(C(2,1),C(3,1)),D(C(5,1),D(C(7,1),C(11,1))))"
 W7 = ("D(W(C(2,1),C(3,1)),D(W(C(5,1),C(7,1)),"
       "D(W(C(11,1),C(2,1)),D(C(13,1),C(17,1)))))")
 
@@ -33,6 +34,8 @@ CASES = {
     "example_3.3": ("kv", "example", "3.3"),
     # four primes, 14 proper Hall subgroups: the benchmark's check-wide-w4
     "check_w4": ("kv", "check", W4),
+    # five primes: the w > 4 size step with every cover enumerated
+    "check_w5": ("kv", "check", W5),
     # seven primes, beyond cover enumeration: the complement-shaped bounds
     "check_w7": ("kv", "check", W7),
     # family 3.2a at ell = 2 (h-deep-450): degree 450, h = 5
