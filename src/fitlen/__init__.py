@@ -1,10 +1,10 @@
 """Toolkit for Fitting-length bounds in finite soluble permutation groups.
 
-Builds wreath-product and direct-product group families with propagated
-Sylow systems, computes derived and Fitting lengths through stabilizer
-chains, extracts Hall subgroups, and checks every cover-weight bound
-against the measured values; a brute-force oracle cross-checks the fast
-machinery on tiny groups.
+Builds wreath-product and direct-product group families by a generator
+recursion that, restricted to a prime set, lists Hall subgroups; computes
+derived and Fitting lengths through stabilizer chains, and checks every
+cover-weight bound against the measured values; a brute-force oracle
+cross-checks the fast machinery on tiny groups.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +14,6 @@ from .bounds import (BoundEntry, BoundReport, Cover, check_all, cover_bound,
                      lambda_inequality_holds, make_cover, product_bound,
                      quadratic_bound, top_two_bound, triple_bound,
                      two_factor_bound, weight)
-from .config import DEFAULT_LIMITS, Limits
 from .construct import (Cyclic, Direct, ElemAbelian, GroupExpr, Iterated,
                         Wreath, build, expr_degree, expr_order, expr_to_text,
                         parse_expr)

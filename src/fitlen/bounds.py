@@ -267,11 +267,14 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
                     "cover-weight", "t=%d %s theta=%d" % (t, cover, theta),
                     cover_bound(theta, t), h_actual))
 
+    # (p, q, h(G_p'), h(G_q'), h(G_{p,q})) per unordered prime pair, read
+    # by the covering-triple and product families
+    pairs = [(p, q, h(tuple(r for r in primes if r != p)),
+              h(tuple(r for r in primes if r != q)), h((p, q)))
+             for p, q in combinations(primes, 2)]
+
     # covering-triple specializations, one per unordered prime pair
-    for p, q in combinations(primes, 2):
-        hp = h(tuple(r for r in primes if r != p))
-        hq = h(tuple(r for r in primes if r != q))
-        hpq = h((p, q))
+    for p, q, hp, hq, hpq in pairs:
         entries.append(_entry(
             "covering-triple",
             "p'=%d q'=%d pair=%s" % (p, q, _fmt_set((p, q))),
@@ -286,36 +289,29 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
     else:
         entries.append(_na("top-two", "needs w >= 4, have w=%d" % w))
 
-    # size-graded recursion and its closed forms
-    if w >= 3 and w <= 4:
-        frak = {size: frak_h(cg, size) for size in range(2, w + 1)}
-        for ell in range(3, w + 1):
+    # size-graded recursion and its closed forms; the step to size w
+    # bounds frak_h(cg, w) = h(G)
+    if w >= 3:
+        for ell in range(3, w + 1) if w <= 4 else (w,):
+            prev = frak_h(cg, ell - 1)
             entries.append(_entry(
-                "size-step", "ell=%d prev=%d" % (ell, frak[ell - 1]),
-                ell_step_bound(frak[ell - 1], ell), frak[ell]))
-        entries.append(_entry(
-            "quadratic", "w=%d frak2=%d" % (w, frak[2]),
-            quadratic_bound(frak[2], w), h_actual))
+                "size-step", "ell=%d prev=%d" % (ell, prev),
+                ell_step_bound(prev, ell), frak_h(cg, ell)))
+        if w <= 4:
+            frak2 = frak_h(cg, 2)
+            entries.append(_entry(
+                "quadratic", "w=%d frak2=%d" % (w, frak2),
+                quadratic_bound(frak2, w), h_actual))
         if w >= 4:
+            top = frak_h(cg, w - 1)
             entries.append(_entry(
-                "top-size-double", "frak%d=%d" % (w - 1, frak[w - 1]),
-                2 * frak[w - 1] - 1, h_actual))
-    elif w > 4:
-        frak_prev = frak_h(cg, w - 1)
-        entries.append(_entry(
-            "size-step", "ell=%d prev=%d" % (w, frak_prev),
-            ell_step_bound(frak_prev, w), h_actual))
-        entries.append(_entry(
-            "top-size-double", "frak%d=%d" % (w - 1, frak_prev),
-            2 * frak_prev - 1, h_actual))
+                "top-size-double", "frak%d=%d" % (w - 1, top),
+                2 * top - 1, h_actual))
     else:
         entries.append(_na("size-step", "needs w >= 3, have w=%d" % w))
 
     # older product bound, per unordered prime pair
-    for p, q in combinations(primes, 2):
-        hp = h(tuple(r for r in primes if r != p))
-        hq = h(tuple(r for r in primes if r != q))
-        r_val = h((p, q))
+    for p, q, hp, hq, r_val in pairs:
         s_val = max(hp, hq)
         entries.append(_entry(
             "product", "p=%d q=%d s=%d r=%d" % (p, q, s_val, r_val),

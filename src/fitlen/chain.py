@@ -176,14 +176,6 @@ class StabilizerChain:
         self._verify()
         return True
 
-    def extend(self, arrays: Iterable[np.ndarray]) -> list[int]:
-        """Add several generators; returns indices of those that grew the group."""
-        kept = []
-        for i, arr in enumerate(arrays):
-            if self.add_generator(arr):
-                kept.append(i)
-        return kept
-
     def _insert(self, arr: np.ndarray, lo: int, hi: int) -> None:
         # arr fixes the base points of all levels before hi and is new
         # at every level in lo..hi.
@@ -280,5 +272,6 @@ def build_chain(degree: int, arrays: Iterable[np.ndarray]
     are certainly redundant.
     """
     chain = StabilizerChain(degree)
-    return chain, chain.extend(arrays)
+    kept = [i for i, arr in enumerate(arrays) if chain.add_generator(arr)]
+    return chain, kept
 

@@ -20,13 +20,13 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import check_all, enumerate_covers
-from .config import DEFAULT_LIMITS, Limits
-from .construct import (NATURAL, REGULAR, Cyclic, Direct, Iterated, Wreath,
-                        build, canonical_sigma, expr_to_text, parse_expr)
+from .construct import (MAX_DEGREE, NATURAL, REGULAR, Cyclic, Direct,
+                        Iterated, Wreath, build, canonical_sigma,
+                        expr_to_text, parse_expr)
 from .errors import FitlenError, SylowSystemError, UsageError
 from .hall import frak_h, hall_profile, hall_subgroup, verify_sylow_system
-from .oracle import (check_nilpotent_triple_product, check_trifactorization,
-                     enumerate_group)
+from .oracle import (ORACLE_CAP, check_nilpotent_triple_product,
+                     check_trifactorization, enumerate_group)
 from .perms import parse_cycles
 
 OK = 0
@@ -144,10 +144,6 @@ def _head(doc: Document, command: str, args) -> None:
     doc.add("oracle-cap", args.oracle_cap)
 
 
-def _limits(args):
-    return Limits(max_degree=args.max_degree, oracle_cap=args.oracle_cap)
-
-
 def _describe_group(doc: Document, cg) -> None:
     doc.add("degree", cg.degree)
     doc.add("order", cg.order)
@@ -260,7 +256,11 @@ def _family_expr(key: str, ell: int, action: str = NATURAL):
 
 
 def _family_claims(key: str, ell: int):
-    """Claimed profile values: h, then h at each complement, then theta-2."""
+    """Claimed profile values: h, then h at each complement, then theta-2.
+
+    3.5-arith, which has no group, claims h, h at two complements and
+    h{2,3} instead.
+    """
     if key == "3.2a":
         return {"h": 2 * ell + 1, "h'%d" % _P: 2 * ell, "h'%d" % _Q: 2,
                 "h'%d" % _R: 2, "theta-2": 2 * ell + 2}
@@ -273,6 +273,9 @@ def _family_claims(key: str, ell: int):
     if key == "3.4":
         return {"h": 6 * ell, "h'%d" % _P: 2 * ell + 2, "h'%d" % _Q: 2 * ell + 2,
                 "h'%d" % _R: 2 * ell + 2, "theta-2": 6 * ell + 4}
+    if key == "3.5-arith":
+        return {"h": 12 * ell, "h'%d" % _P: 4 * ell + 3,
+                "h'%d" % _Q: 4 * ell + 2, "h{%d,%d}" % (_P, _Q): 4 * ell + 2}
     raise UsageError("unknown example family %r" % key)
 
 
@@ -283,15 +286,18 @@ def cmd_example(args, cg, doc: Document, timer: _Timer) -> int:
         raise UsageError("ell must be at least 1")
     doc.add("family", key)
     doc.add("ell-used", ell)
-    claims = None if key == "3.5-arith" else _family_claims(key, ell)
+    claims = _family_claims(key, ell)
+    doc.table(["quantity", "claimed", "measured", "status"])
     # group-scale runs are pinned per family at ell = 1; everything else
     # is arithmetic-only regardless of the degree budget
-    if claims is None or ell != 1:
+    if key == "3.5-arith" or ell != 1:
         doc.add("mode", "arithmetic-only")
+        for name, want in claims.items():
+            doc.row(name, want, "-", "-")
         doc.note("group-level run not feasible at this scale; "
                  "claimed formulas instantiated and checked numerically")
-        if claims is None:
-            _example_35_arith(doc, ell)
+        if key == "3.5-arith":
+            _example_35_arith(doc, ell, claims)
         else:
             _example_arith_only(doc, key, ell, claims)
         return OK
@@ -299,7 +305,7 @@ def cmd_example(args, cg, doc: Document, timer: _Timer) -> int:
     doc.add("mode", "group")
     expr = _family_expr(key, ell, args.action)
     doc.add("expression", expr_to_text(expr))
-    cg = build(expr, default_action=args.action, limits=_limits(args))
+    cg = build(expr, default_action=args.action, max_degree=args.max_degree)
     timer.mark("build")
     _describe_group(doc, cg)
     primes = cg.primes
@@ -311,7 +317,6 @@ def cmd_example(args, cg, doc: Document, timer: _Timer) -> int:
     measured["theta-2"] = sum(measured["h'%d" % p] for p in primes) - 2
 
     mismatched = [n for n, want in claims.items() if measured[n] != want]
-    doc.table(["quantity", "claimed", "measured", "status"])
     for name, want in claims.items():
         doc.row(name, want, measured[name],
                 "MISMATCH" if name in mismatched else "ok")
@@ -324,9 +329,6 @@ def cmd_example(args, cg, doc: Document, timer: _Timer) -> int:
 
 
 def _example_arith_only(doc: Document, key: str, ell: int, claims) -> None:
-    doc.table(["quantity", "claimed", "measured", "status"])
-    for name, want in claims.items():
-        doc.row(name, want, "-", "-")
     h = claims["h"]
     theta2 = claims["theta-2"]
     doc.note("cover bound: theta-2 = %d >= h = %d: %s"
@@ -341,16 +343,8 @@ def _example_arith_only(doc: Document, key: str, ell: int, claims) -> None:
                      "so it cannot extend below four primes")
 
 
-def _example_35_arith(doc: Document, ell: int) -> None:
-    h = 12 * ell
-    hp = 4 * ell + 3
-    hq = 4 * ell + 2
-    hpq = 4 * ell + 2
-    doc.table(["quantity", "claimed", "measured", "status"])
-    doc.row("h", h, "-", "-")
-    doc.row("h'%d" % _P, hp, "-", "-")
-    doc.row("h'%d" % _Q, hq, "-", "-")
-    doc.row("h{%d,%d}" % (_P, _Q), hpq, "-", "-")
+def _example_35_arith(doc: Document, ell: int, claims) -> None:
+    h, hp, hq, hpq = claims.values()
     triple = hp + hq + hpq - 2
     doc.note("covering-triple value: %d = 12*ell+5: %s; h <= it: %s"
              % (triple, "ok" if triple == 12 * ell + 5 else "FALSE",
@@ -363,7 +357,7 @@ def _example_35_arith(doc: Document, ell: int) -> None:
 
 
 def cmd_conjecture(args, cg, doc: Document, timer: _Timer) -> int:
-    T = enumerate_group(cg.group, _limits(args))
+    T = enumerate_group(cg.group, args.oracle_cap)
     timer.mark("enumerate")
     degree = cg.degree
 
@@ -476,10 +470,8 @@ def make_parser() -> argparse.ArgumentParser:
     for p in subs.choices.values():
         p.add_argument("--action", choices=[NATURAL, REGULAR], default=NATURAL,
                        help="wreath action used by IT() and example families")
-        p.add_argument("--max-degree", type=int,
-                       default=DEFAULT_LIMITS.max_degree)
-        p.add_argument("--oracle-cap", type=int,
-                       default=DEFAULT_LIMITS.oracle_cap)
+        p.add_argument("--max-degree", type=int, default=MAX_DEGREE)
+        p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP)
         p.add_argument("--format", choices=["table", "kv"], default="table")
     return parser
 
@@ -501,7 +493,7 @@ def main(argv=None) -> int:
         cg = None
         if expression is not None:
             cg = build(args.expr, default_action=args.action,
-                       limits=_limits(args))
+                       max_degree=args.max_degree)
             timer.mark("build")
         code = args.func(args, cg, doc, timer)
     except FitlenError as exc:

@@ -30,7 +30,6 @@ from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 import numpy as np
 
 from .chain import build_chain
-from .config import DEFAULT_LIMITS, Limits
 from .errors import DegreeBudgetError, SylowSystemError, UsageError
 from .group import PermGroup, p_part
 from .perms import Permutation, _arange, compose_arrays
@@ -123,53 +122,46 @@ def validate_expr(expr: GroupExpr) -> None:
 
 
 def expr_order(expr: GroupExpr, default_action: str = NATURAL) -> int:
-    return _size(expr, default_action, None)[1]
+    return _exact_size(expr, default_action)[1]
 
 
 def expr_degree(expr: GroupExpr, default_action: str = NATURAL) -> int:
-    return _size(expr, default_action, None)[0]
+    return _exact_size(expr, default_action)[0]
 
 
-# Widest power _size evaluates exactly: far above the order of any
-# group of buildable degree (4096! has about 43,000 bits).
+# Widest value expr_order and expr_degree evaluate: far above the order
+# of any group of buildable degree (4096! has about 43,000 bits).
 _EXACT_BITS = 1 << 20
+_TOO_LARGE = 1 << _EXACT_BITS  # their saturation value
 
 
-def _size(expr: GroupExpr, default_action: str,
-          ceiling: Optional[int]) -> tuple[int, int]:
-    """(degree, order) of expr; exact when ceiling is None.
+def _exact_size(expr: GroupExpr, default_action: str) -> tuple[int, int]:
+    # no tree has a degree above its order, so the order saturates first
+    degree, order = _size(expr, default_action, _TOO_LARGE)
+    if order == _TOO_LARGE:
+        raise UsageError("expression too large: its order or degree has "
+                         "more than %d bits" % _EXACT_BITS)
+    return degree, order
 
-    Otherwise each value is exact up to ceiling and reads ceiling + 1
-    past it.  A regular-action top contributes its order as a point
-    count and the orders above it raise to that power, so exact values
-    can be exponent towers; saturating every intermediate value keeps
-    the arithmetic a few hundred bits wide, and a saturated degree still
-    proves a budget below the ceiling is exceeded.  Every leaf has degree
-    and order at least 2, which bounds the exponent that can stay below
-    the ceiling.  Without a ceiling, a power that would pass
-    _EXACT_BITS bits raises UsageError instead of evaluating the tower.
+
+def _size(expr: GroupExpr, default_action: str, over: int) -> tuple[int, int]:
+    """(degree, order) of expr, each exact below over and over past it.
+
+    A regular-action top contributes its order as a point count and the
+    orders above it raise to that power, so exact values can be
+    exponent towers; saturating every intermediate value keeps the
+    arithmetic about as wide as over, and a saturated degree still
+    proves that a budget below over is exceeded.  Callers pass over
+    itself: adding 1 to a wide ceiling on every call would copy it.
     """
-    if ceiling is None:
-        over = None
+    def cap(a: int) -> int:
+        return min(a, over)
 
-        def cap(a: int) -> int:
-            return a
-
-        def power(a: int, e: int) -> int:
-            # a >= 2, so a ** e has at least (bit_length - 1) * e bits
-            if (a.bit_length() - 1) * e > _EXACT_BITS:
-                raise UsageError(
-                    "expression too large: its order or degree has more "
-                    "than %d bits" % _EXACT_BITS)
-            return a ** e
-    else:
-        over = ceiling + 1
-
-        def cap(a: int) -> int:
-            return min(a, over)
-
-        def power(a: int, e: int) -> int:
-            return over if e >= over.bit_length() else min(a ** e, over)
+    def power(a: int, e: int) -> int:
+        # every value is at least 2, and a ** e >= 2 ** ((bits - 1) * e)
+        if (a.bit_length() - 1) * e >= over.bit_length():
+            return over
+        return min(a ** e, over)
 
     def size(e: GroupExpr) -> tuple[int, int]:
         if isinstance(e, Cyclic):
@@ -277,8 +269,14 @@ class _Part(NamedTuple):
 
 # -- building -------------------------------------------------------------
 
+# Largest permutation degree any construction may produce.  No budget
+# but this and oracle.ORACLE_CAP is needed: each series step shrinks the
+# group, and every oracle computation works inside one enumerated group.
+MAX_DEGREE = 4096
+
+
 def build(expr: GroupExpr, default_action: str = NATURAL,
-          limits: Limits = DEFAULT_LIMITS) -> ConstructedGroup:
+          max_degree: int = MAX_DEGREE) -> ConstructedGroup:
     """Materialize an expression as a permutation group with Sylow system.
 
     The one way to construct a group, and the one place that validates
@@ -293,17 +291,17 @@ def build(expr: GroupExpr, default_action: str = NATURAL,
         raise UsageError("unknown wreath action %r" % (default_action,))
     # exact up to this ceiling; anything larger only has to be seen to
     # exceed the budget
-    ceiling = max(limits.max_degree, 1 << 64)
-    required, _ = _size(expr, default_action, ceiling)
-    if required > limits.max_degree:
-        natural_deg, _ = _size(_all_natural(expr), NATURAL, ceiling)
+    ceiling = max(max_degree, 1 << 64)
+    required, _ = _size(expr, default_action, ceiling + 1)
+    if required > max_degree:
+        natural_deg, _ = _size(_all_natural(expr), NATURAL, ceiling + 1)
         hint = ""
         if natural_deg < required:
             hint = (" (involves the regular action; all-natural would need"
                     " degree %s)" % _degree_text(natural_deg, ceiling))
         raise DegreeBudgetError(
             "degree budget exceeded: expression needs degree %s > %d%s"
-            % (_degree_text(required, ceiling), limits.max_degree, hint),
+            % (_degree_text(required, ceiling), max_degree, hint),
             required)
     root = _build(expr, default_action)
     gens = tuple(Permutation(a, _checked=False)
@@ -403,12 +401,6 @@ def _lift_block_perm(block_perm: np.ndarray, m: int) -> np.ndarray:
             + np.tile(np.arange(m, dtype=np.intp), d))
 
 
-def _embed(arr: np.ndarray, block: int, m: int, total: int) -> np.ndarray:
-    out = np.arange(total, dtype=np.intp)
-    out[block * m:(block + 1) * m] = arr + block * m
-    return out
-
-
 def _block_orbit_reps(d: int, block_perms: list[np.ndarray]) -> list[int]:
     seen = [False] * d
     reps = []
@@ -444,7 +436,7 @@ def _wreath(A: _Part, B: _Part, action: str) -> _Part:
     def hall_generators(sigma):
         blocks = top(sigma)
         base_gens = base(sigma)
-        gens = [_embed(a, rep, m, n) for rep in _block_orbit_reps(d, blocks)
+        gens = [_shift(a, rep * m, n) for rep in _block_orbit_reps(d, blocks)
                 for a in base_gens]
         return gens + [_lift_block_perm(t, m) for t in blocks]
 

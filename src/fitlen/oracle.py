@@ -31,7 +31,6 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
 from .errors import NotSolubleError, OracleScaleError
 from .group import PermGroup, factorize
 
@@ -188,12 +187,15 @@ def _bfs_closure(degree: int, gens: Sequence[Elem], cap: int) -> list[Elem]:
     return closure.elems
 
 
-def enumerate_group(G: PermGroup,
-                    limits: Limits = DEFAULT_LIMITS) -> TinyGroup:
+# Largest group the brute-force oracle will enumerate; it also bounds
+# the work of a product set inside an enumerated T, at most 2|T|.
+ORACLE_CAP = 20000
+
+
+def enumerate_group(G: PermGroup, cap: int = ORACLE_CAP) -> TinyGroup:
     """Enumerate a PermGroup by closure."""
     gens = [tuple(int(x) for x in g.images) for g in G.generators]
-    return TinyGroup(G.degree, _bfs_closure(G.degree, gens, limits.oracle_cap),
-                     gens)
+    return TinyGroup(G.degree, _bfs_closure(G.degree, gens, cap), gens)
 
 
 def subgroup_closure(T: TinyGroup, gens: Sequence[Elem]) -> TinyGroup:

@@ -48,7 +48,7 @@ exprs = st.recursive(
         st.builds(Wreath, inner, inner),
         st.builds(Iterated, inner, st.integers(2, 3))),
     max_leaves=4,
-).filter(lambda e: _size(e, NATURAL, WREATH_DEGREE)[0] <= WREATH_DEGREE)
+).filter(lambda e: _size(e, NATURAL, WREATH_DEGREE + 1)[0] <= WREATH_DEGREE)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -266,9 +266,10 @@ def test_failed_certificate_exits_2_with_empty_stdout(monkeypatch, capsys,
 
         monkeypatch.setattr(construct, "_lift_block_perm", miswired)
     else:
-        embed = construct._embed
-        monkeypatch.setattr(construct, "_embed",
-                            lambda arr, block, m, total: embed(arr, 0, m, total))
+        # no direct product here, so _shift only embeds base generators
+        shift = construct._shift
+        monkeypatch.setattr(construct, "_shift",
+                            lambda arr, offset, total: shift(arr, 0, total))
     code = main(["build", "W(C(2,1),C(3,1))", "--format", "kv"])
     captured = capsys.readouterr()
     assert code == 2

@@ -108,19 +108,15 @@ def test_order_formula_random_expressions():
 
 def test_degree_budget_error_reports_required_degree():
     expr = Wreath(Cyclic(2, 1), Cyclic(7, 4))  # needs degree 2 * 2401
-    import dataclasses
-    from fitlen.config import DEFAULT_LIMITS
     with pytest.raises(DegreeBudgetError) as err:
-        build(expr, limits=dataclasses.replace(DEFAULT_LIMITS, max_degree=512))
+        build(expr, max_degree=512)
     assert err.value.required_degree == 4802
 
 
 def test_regular_overflow_suggests_natural():
     expr = Wreath(Cyclic(2, 1), Wreath(Cyclic(3, 1), Cyclic(5, 1)), "regular")
-    import dataclasses
-    from fitlen.config import DEFAULT_LIMITS
     with pytest.raises(DegreeBudgetError) as err:
-        build(expr, limits=dataclasses.replace(DEFAULT_LIMITS, max_degree=1024))
+        build(expr, max_degree=1024)
     assert "natural" in str(err.value)
 
 

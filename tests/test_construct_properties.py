@@ -1,4 +1,5 @@
-"""Property test: the expression parser and printer are inverse.
+"""Property tests: the expression parser and printer are inverse, and
+the saturating size recursion is exact below its saturation value.
 
 Trees are drawn from C and EA leaves over small primes and D, W, WR and
 IT nodes.  The canonical text of a tree parses back to the same tree,
@@ -15,7 +16,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from fitlen.construct import (NATURAL, REGULAR, Cyclic, Direct,  # noqa: E402
-                              ElemAbelian, Iterated, Wreath, expr_to_text,
+                              ElemAbelian, Iterated, Wreath, _size,
+                              expr_degree, expr_order, expr_to_text,
                               parse_expr)
 from fitlen.errors import UsageError  # noqa: E402
 
@@ -68,3 +70,65 @@ def test_every_proper_prefix_is_a_positioned_parse_error(expr):
         found = POSITION.match(str(info.value))
         assert found, (text[:end], str(info.value))
         assert int(found.group(1)) <= end
+
+
+# -- the saturating size recursion ---------------------------------------------
+
+# draws whose exact order passes this are skipped: towers cannot be
+# evaluated exactly, and _size's saturation is what keeps them cheap
+EXACT_LIMIT_BITS = 4096
+
+
+class _TooLarge(Exception):
+    pass
+
+
+def _formula_size(expr, action):
+    """(degree, order) from the textbook formulas, exact, in plain ints.
+
+    IT(x, l) is unfolded into l - 1 left-associated wreath products
+    with the default action, then each node is evaluated directly.
+    """
+    def power(a, e):
+        # a >= 2, so a ** e has more than (bit_length - 1) * e bits
+        if (a.bit_length() - 1) * e > EXACT_LIMIT_BITS:
+            raise _TooLarge
+        return a ** e
+
+    def size(e):
+        if isinstance(e, Cyclic):
+            n = power(e.p, e.k)
+            return n, n
+        if isinstance(e, ElemAbelian):
+            return e.k * e.p, power(e.p, e.k)
+        if isinstance(e, Direct):
+            (ld, lo), (rd, ro) = size(e.left), size(e.right)
+            return ld + rd, lo * ro
+        if isinstance(e, Wreath):
+            (bd, bo), (td, to) = size(e.base), size(e.top)
+            points = to if e.action == REGULAR else td
+            return bd * points, power(bo, points) * to
+        unfolded = e.expr
+        for _ in range(e.times - 1):
+            unfolded = Wreath(unfolded, e.expr, action)
+        return size(unfolded)
+
+    degree, order = size(expr)
+    if order.bit_length() > EXACT_LIMIT_BITS:
+        raise _TooLarge
+    return degree, order
+
+
+@SETTINGS
+@given(exprs, st.sampled_from([NATURAL, REGULAR]))
+def test_size_is_exact_below_the_saturation_value(expr, action):
+    try:
+        degree, order = _formula_size(expr, action)
+    except _TooLarge:
+        return
+    assert expr_degree(expr, action) == degree
+    assert expr_order(expr, action) == order
+    for ceiling in (10, 1000, 1 << 64):
+        over = ceiling + 1
+        assert _size(expr, action, over) == (min(degree, over),
+                                             min(order, over))

@@ -208,12 +208,13 @@ def test_check_proves_each_hall_subgroup_once_and_keeps_no_chain(
 
 def test_hall_subgroup_with_miswired_embedding_raises(monkeypatch):
     # every base generator embedded in block 0: G keeps its list, since
-    # the top is transitive, but the Sylow 2-list generates only C2
+    # the top is transitive, but the Sylow 2-list generates only C2.
+    # The expression has no direct product, so _shift only embeds.
     from fitlen import construct
 
-    embed = construct._embed
-    monkeypatch.setattr(construct, "_embed",
-                        lambda arr, block, m, total: embed(arr, 0, m, total))
+    shift = construct._shift
+    monkeypatch.setattr(construct, "_shift",
+                        lambda arr, offset, total: shift(arr, 0, total))
     cg = build(parse_expr("W(C(2,1),C(3,1))"))
     assert cg.order == 24
     with pytest.raises(SylowSystemError, match="has order 2, not 8"):

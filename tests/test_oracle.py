@@ -5,7 +5,6 @@ import tracemalloc
 import pytest
 from conftest import brute_force_elements
 
-from fitlen.config import Limits
 from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.errors import NotSolubleError, OracleScaleError
 from fitlen.group import PermGroup, factorize, p_part
@@ -47,7 +46,7 @@ def test_enumeration_cap():
     with pytest.raises(OracleScaleError):
         enumerate_group(PermGroup(8, [parse_cycles("(1 2)", 8),
                                       parse_cycles("(1 2 3 4 5 6 7 8)", 8)]),
-                        Limits(oracle_cap=1000))
+                        cap=1000)
 
 
 def test_cores(s4, s3):
