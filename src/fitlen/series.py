@@ -13,6 +13,17 @@ order 1 and raises NotSolubleError.
 
 Implementation notes, since the large examples live or die here:
 
+* Lengths through constituents.  H embeds in the product of its
+  constituents H^O on the orbits O of its moved points, each a quotient
+  of H.  Fitting length <= k is a subgroup-closed formation and soluble
+  derived length <= k a variety (Doerk and Hawkes, Finite Soluble
+  Groups, 1992, ch. IV), so h(H) = max h(H^O), and likewise d.  On a
+  transitive K one closure gives N, the nilpotent residual (Sylow seeds
+  restrict to Sylow seeds) or [K, K], and h(K) = 1 + h(N) or d(K) =
+  1 + d(N).  N is normal, so K permutes N's orbits transitively and N's
+  constituents are conjugate: the recursion follows one.  N = K exactly
+  when K's generators sift through N's chain, so K needs no chain.
+
 * Every term of every series computed below is normal in the group the
   series started from (the terms are fully invariant in a normal
   subgroup), so normal closures always conjugate by that root group's
@@ -93,13 +104,8 @@ def _closure(degree: int, seeds: Iterable[np.ndarray],
     The conjugators must generate a group in which the closure is
     normal.  Returns (group, kept_seeds): the seeds that enlarged the
     chain normally generate the closure, so they are what the caller
-    should carry into a follow-up commutator step.
-
-    The group's generator list is irredundant: an element is kept only
-    when add_generator, which verifies the chain after every insertion,
-    finds it outside the group of the elements kept before it.  So
-    PermGroup.reduced() would return the same list, and callers use it
-    as it is.
+    should carry into a follow-up commutator step.  The group's
+    generator list is irredundant (see the notes above).
     """
     chain = StabilizerChain(degree)
     kept: list[np.ndarray] = []
@@ -168,10 +174,8 @@ def _descend(start, step):
     start and every step result are (term, witness) pairs, the witness
     being normal generators of the term for the next step to start from.
     Returns the strictly descending terms and the last term's witness.
-    A trivial term ends the series without a further step.  Each kept
-    term's order properly divides the one before, so a series of G has
-    at most log2|G| + 1 terms; a non-soluble input stops above order 1,
-    which _stops_at_one reports.
+    A trivial term ends the series without a further step; a
+    non-soluble input stops above order 1, which _stops_at_one reports.
     """
     term, witness = start
     terms = [term]
@@ -199,10 +203,6 @@ def derived_series(G: PermGroup) -> SubgroupSeries:
         lambda T, x: _closure(G.degree, _commutators(x, _gen_arrays(T)),
                               conj))
     return SubgroupSeries("derived", _stops_at_one(terms, "derived series"))
-
-
-def derived_length(G: PermGroup) -> int:
-    return derived_series(G).length
 
 
 # -- lower central series and the nilpotent residual ------------------------
@@ -284,6 +284,77 @@ def lower_nilpotent_series(G: PermGroup,
                           _stops_at_one(terms, "lower nilpotent series"))
 
 
+# -- Fitting and derived length through transitive constituents --------------
+
+def _orbits(stack: np.ndarray) -> list[np.ndarray]:
+    """Orbits of <rows> on their moved points, sorted, by least point:
+    root hooking both ways along each row, then pointer jumping."""
+    label, prev = np.arange(stack.shape[1]), None
+    while not np.array_equal(label, prev):
+        prev = label.copy()
+        for g in stack:
+            np.minimum.at(label, label[g], label)
+            np.minimum.at(label, label, label[g])
+        while not np.array_equal(label, label[label]):
+            label = label[label]
+    sizes = np.bincount(label)
+    sizes = sizes[sizes > 0]
+    orbits = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    return [orbit for orbit in orbits if orbit.size > 1]
+
+
+def _constituents(degree: int, gens: Sequence[np.ndarray], seeds=None):
+    """(k, generators, seeds) of each distinct constituent of <gens> on an
+    orbit of moved points, relabelled 0..k-1 in increasing order."""
+    def restrict(stack):  # the distinct non-identity rows, by their bytes
+        rows = pos[stack[:, orbit]]
+        rows = rows[(rows != _arange(orbit.size)).any(axis=1)]
+        return dict(zip(map(bytes, rows), rows))
+
+    gens = np.array(gens, dtype=np.intp).reshape(len(gens), degree)
+    seeds = seeds and {p: np.array(s, dtype=np.intp).reshape(len(s), degree)
+                       for p, s in seeds.items()}
+    pos, seen = np.empty(degree, dtype=np.intp), set()
+    for orbit in _orbits(gens):
+        pos[orbit] = _arange(orbit.size)
+        restricted = restrict(gens)
+        if (key := b"".join(restricted)) not in seen:
+            seen.add(key)
+            yield orbit.size, list(restricted.values()), seeds and {
+                p: list(restrict(s).values()) for p, s in seeds.items()}
+
+
+def _derived_step(k: int, gens: Sequence[np.ndarray], seeds) -> PermGroup:
+    return _closure(k, _commutators(gens, gens), gens)[0]
+
+
+def _residual_step(k: int, gens: Sequence[np.ndarray], seeds) -> PermGroup:
+    if seeds:
+        return _closure(k, _system_residual_seeds(seeds), gens)[0]
+    terms, _ = _descend(_closure(k, _commutators(gens, gens), gens),
+                        lambda L, x: _closure(k, _commutators(x, gens), gens))
+    return terms[-1]
+
+
+def _length(degree: int, gens, step, seeds=None, one=False) -> int:
+    """Max over the distinct constituents, or the first if conjugate."""
+    length = 0
+    for k, k_gens, k_seeds in _constituents(degree, gens, seeds):
+        N = step(k, k_gens, k_seeds)
+        # N lies in K, so N = K exactly when K's generators sift through it
+        if all(N.chain.contains_array(g) for g in k_gens):
+            raise NotSolubleError("perfect constituent of order %d" % N.order)
+        # N is normal in the transitive K, so its constituents are conjugate
+        length = max(length, 1 + _length(k, _gen_arrays(N), step, one=True))
+        if one:
+            break
+    return length
+
+
+def derived_length(G: PermGroup) -> int:
+    return _length(G.degree, _gen_arrays(G), _derived_step)
+
+
 def fitting_length(G: PermGroup, system_gens: Optional[dict] = None) -> int:
-    """Number of nilpotent-residual steps it takes to reach the trivial group."""
-    return lower_nilpotent_series(G, system_gens).length
+    """Fitting length; system_gens: one Sylow generator list per prime."""
+    return _length(G.degree, _gen_arrays(G), _residual_step, system_gens)

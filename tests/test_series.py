@@ -5,8 +5,10 @@ enumeration (closure of generators, explicit commutator sets) on the
 tiny groups involved; see test_oracle for the systematic sweeps.
 """
 
+import numpy as np
 import pytest
 
+from fitlen import series
 from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.errors import ContainmentError, NotSolubleError
 from fitlen.group import PermGroup
@@ -233,3 +235,66 @@ def test_hall_lists_of_a_four_prime_group_are_irredundant():
     cg = build(parse_expr("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"))
     for sigma, H in _hall_subgroups(cg):
         assert _redundant(H) == 0, sigma
+
+
+# -- lengths through transitive constituents ---------------------------------
+
+def test_length_is_the_max_over_differing_constituents():
+    # h(W(C2,C3)) = 2 and h(IT(W(C2,C3),2)) = 4; the deeper tower sits on
+    # either side, so the max cannot come from the first constituent alone
+    shallow, deep = "W(C(2,1),C(3,1))", "IT(W(C(2,1),C(3,1)),2)"
+    for text in ("D(%s,%s)" % (shallow, deep), "D(%s,%s)" % (deep, shallow)):
+        G = build(parse_expr(text)).group
+        assert fitting_length(G) == lower_nilpotent_series(G).length == 4
+        assert derived_length(G) == derived_series(G).length == 4
+    # two constituents of the same degree: C3 on {1,2,3}, S3 on {4,5,6}
+    G = PermGroup(6, [parse_cycles("(1 2 3)", 6), parse_cycles("(4 5 6)", 6),
+                      parse_cycles("(4 5)", 6)])
+    assert fitting_length(G) == derived_length(G) == 2
+
+
+def test_identical_constituents_are_measured_once(monkeypatch):
+    # X has h = 2 and d = 3; D(X, X) has two constituents equal to X, so
+    # it takes the same steps, at the same degrees, as X alone
+    steps = []
+    for name in ("_derived_step", "_residual_step"):
+        def counted(k, gens, seeds, _step=getattr(series, name)):
+            steps.append(k)
+            return _step(k, gens, seeds)
+        monkeypatch.setattr(series, name, counted)
+    X = build(parse_expr("W(W(C(2,1),C(2,1)),C(3,1))")).group
+    XX = build(parse_expr("D(W(W(C(2,1),C(2,1)),C(3,1)),"
+                          "W(W(C(2,1),C(2,1)),C(3,1)))")).group
+    lengths = (fitting_length(X), derived_length(X))
+    single = list(steps)
+    steps.clear()
+    assert (fitting_length(XX), derived_length(XX)) == lengths == (2, 3)
+    assert steps == single
+
+
+def test_intransitive_hall_subgroup():
+    # the {5,7} Hall subgroup of W(W(C2,C3),W(C5,C7)) acts on six orbits
+    # of 35 points, one per point of a base block, all identical
+    from fitlen.hall import hall_subgroup
+
+    cg = build(parse_expr("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"))
+    H = hall_subgroup(cg, (5, 7))
+    arrays = series._gen_arrays(H)
+    assert [o.size for o in series._orbits(np.array(arrays))] == [35] * 6
+    assert [k for k, _, _ in series._constituents(
+        H.degree, arrays, None)] == [35]
+    seeds = {p: series._gen_arrays(hall_subgroup(cg, (p,))) for p in (5, 7)}
+    assert fitting_length(H, seeds) == fitting_length(H) == 2
+    assert lower_nilpotent_series(H, seeds).length == 2
+    assert derived_length(H) == derived_series(H).length == 2
+
+
+def test_not_soluble_beside_soluble_constituent_raises():
+    # C2 on {1,2} and A5 on {3..7}, in both orders of the points
+    for c2, a5 in ((["(1 2)"], ["(3 4 5)", "(5 6 7)"]),
+                   (["(6 7)"], ["(1 2 3)", "(3 4 5)"])):
+        G = PermGroup(7, [parse_cycles(c, 7) for c in c2 + a5])
+        with pytest.raises(NotSolubleError):
+            fitting_length(G)
+        with pytest.raises(NotSolubleError):
+            derived_length(G)
