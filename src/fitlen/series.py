@@ -24,6 +24,21 @@ Implementation notes, since the large examples live or die here:
   constituents are conjugate: the recursion follows one.  N = K exactly
   when K's generators sift through N's chain, so K needs no chain.
 
+* One orbit of each step.  A step that is one normal closure,
+  N = <S>^K with K = <X> transitive on k points, is built only on the
+  orbit B of N holding point 0, at degree |B| (Seress, Permutation
+  Group Algorithms, 2003, sections 4.2 and 5.5).  Three facts make
+  that exact.  (1) N's orbits are the finest K-invariant partition
+  coarser than the orbits of <S>: they are such a partition, as N is
+  normal; and every s fixes each class of such a partition, so every
+  s^g does, and so N does.  (2) The classes are blocks of K.  If t_i
+  maps B onto block i and x maps block i to block j, then the Schreier
+  generators t_i x t_j^-1 generate the block stabilizer K_B.  (3) N
+  fixes B, and any g in K has g^-1 = c t_i with c in K_B, so
+  s^g = (t_i s t_i^-1)^(c^-1) and N^B = <(t_i s t_i^-1)|_B>^(K_B).
+  If |B| < k then N != K; if |B| = k there is one block, t_0 = 1 and
+  K_B = K, so the step is the full closure and the sift decides.
+
 * Every term of every series computed below is normal in the group the
   series started from (the terms are fully invariant in a normal
   subgroup), so normal closures always conjugate by that root group's
@@ -286,17 +301,28 @@ def lower_nilpotent_series(G: PermGroup,
 
 # -- Fitting and derived length through transitive constituents --------------
 
-def _orbits(stack: np.ndarray) -> list[np.ndarray]:
-    """Orbits of <rows> on their moved points, sorted, by least point:
-    root hooking both ways along each row, then pointer jumping."""
-    label, prev = np.arange(stack.shape[1]), None
+def _classes(k: int, seeds: Sequence[np.ndarray], gens=()) -> np.ndarray:
+    """Least point of each point's class in the finest partition of
+    range(k) that joins x to s(x) for each seed s and that each gen
+    permutes: root hooking both ways, then pointer jumping, to a fixpoint.
+    """
+    label, prev = np.arange(k), None
     while not np.array_equal(label, prev):
         prev = label.copy()
-        for g in stack:
-            np.minimum.at(label, label[g], label)
-            np.minimum.at(label, label, label[g])
+        # x ~ label[x] always, so g(x) ~ g(label[x]) once g permutes classes
+        for a, b in ([(_arange(k), s) for s in seeds]
+                     + [(g, g[label]) for g in gens]):
+            a, b = label[a], label[b]
+            np.minimum.at(label, a, b)
+            np.minimum.at(label, b, a)
         while not np.array_equal(label, label[label]):
             label = label[label]
+    return label
+
+
+def _orbits(stack: np.ndarray) -> list[np.ndarray]:
+    """Orbits of <rows> on their moved points, sorted, by least point."""
+    label = _classes(stack.shape[1], stack)
     sizes = np.bincount(label)
     sizes = sizes[sizes > 0]
     orbits = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
@@ -324,13 +350,41 @@ def _constituents(degree: int, gens: Sequence[np.ndarray], seeds=None):
                 p: list(restrict(s).values()) for p, s in seeds.items()}
 
 
+def _on_orbit(k: int, gens: Sequence[np.ndarray], seeds) -> PermGroup:
+    """N = <seeds>^K for the transitive K = <gens>, as N^B: its constituent
+    on the orbit B of point 0, relabelled 0..|B|-1 (see the notes above)."""
+    seeds = list(seeds)
+    label = _classes(k, seeds, gens)
+    B = np.flatnonzero(label == 0)
+    if B.size == 1:  # N fixes every point, as its orbits are conjugate
+        return PermGroup.trivial(1)
+    # t_i(B) for a transversal t_i of K's blocks, walked from B; back maps
+    # each block onto B, so back[x[t_i(B)]] is (t_i x t_j^-1)|_B
+    images, blocks = [B], {0}
+    back = np.empty(k, dtype=np.intp)
+    back[B] = _arange(B.size)
+    conj = {}
+    for image in images:
+        for g in gens:
+            g_image = g[image]
+            if (j := int(label[g_image[0]])) not in blocks:
+                blocks.add(j)
+                back[g_image] = _arange(B.size)
+                images.append(g_image)
+            else:  # a Schreier generator of K_B
+                conj.setdefault(back[g_image].tobytes(), back[g_image])
+    conj.pop(_arange(B.size).tobytes(), None)
+    seeds_B = (back[s[image]] for image in images for s in seeds)
+    return _closure(B.size, seeds_B, list(conj.values()))[0]
+
+
 def _derived_step(k: int, gens: Sequence[np.ndarray], seeds) -> PermGroup:
-    return _closure(k, _commutators(gens, gens), gens)[0]
+    return _on_orbit(k, gens, _commutators(gens, gens))
 
 
 def _residual_step(k: int, gens: Sequence[np.ndarray], seeds) -> PermGroup:
     if seeds:
-        return _closure(k, _system_residual_seeds(seeds), gens)[0]
+        return _on_orbit(k, gens, _system_residual_seeds(seeds))
     terms, _ = _descend(_closure(k, _commutators(gens, gens), gens),
                         lambda L, x: _closure(k, _commutators(x, gens), gens))
     return terms[-1]
@@ -341,11 +395,13 @@ def _length(degree: int, gens, step, seeds=None, one=False) -> int:
     length = 0
     for k, k_gens, k_seeds in _constituents(degree, gens, seeds):
         N = step(k, k_gens, k_seeds)
-        # N lies in K, so N = K exactly when K's generators sift through it
-        if all(N.chain.contains_array(g) for g in k_gens):
+        # an intransitive N is not K; else N = K exactly when K's
+        # generators sift through N
+        if N.degree == k and all(N.chain.contains_array(g) for g in k_gens):
             raise NotSolubleError("perfect constituent of order %d" % N.order)
         # N is normal in the transitive K, so its constituents are conjugate
-        length = max(length, 1 + _length(k, _gen_arrays(N), step, one=True))
+        length = max(length, 1 + _length(N.degree, _gen_arrays(N), step,
+                                         one=True))
         if one:
             break
     return length

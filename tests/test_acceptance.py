@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a verdict.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-lines; criterion 4 needs `--runslow` (extended budget, 7–9 s on a 2-core
+lines; criterion 4 needs `--runslow` (extended budget, 2–4 s on a 2-core
 host against its thirty-minute ceiling).
 """
 

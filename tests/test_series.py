@@ -298,3 +298,36 @@ def test_not_soluble_beside_soluble_constituent_raises():
             fitting_length(G)
         with pytest.raises(NotSolubleError):
             derived_length(G)
+
+
+def _restricted_order(group, orbit):
+    pos = np.empty(group.degree, dtype=np.intp)
+    pos[orbit] = np.arange(orbit.size)
+    return PermGroup.from_arrays(orbit.size, [
+        pos[g[orbit]] for g in series._gen_arrays(group)]).order
+
+
+def test_step_on_one_orbit_matches_the_full_closure():
+    # N = <seeds>^K is built at degree |B| on the orbit B of point 0; the
+    # full-degree closure's orbits must be the classes found without it,
+    # and its restriction to B must have N^B's order.  First the seeded
+    # residual of the check-wide-w4 group (7 orbits of 30), then the
+    # derived step of that N^B (5 orbits of 6)
+    from fitlen.hall import hall_subgroup
+
+    cg = build(parse_expr("W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))"))
+    gens = series._gen_arrays(cg.group)
+    sylow = {p: series._gen_arrays(hall_subgroup(cg, (p,)))
+             for p in cg.primes}
+    k, seeds = cg.degree, series._system_residual_seeds(sylow)
+    for sizes in ([30] * 7, [6] * 5):
+        full, _ = series._closure(k, seeds, gens)
+        orbits = series._orbits(np.array(series._gen_arrays(full)))
+        assert [o.size for o in orbits] == sizes
+        label = series._classes(k, seeds, gens)
+        assert all((label[o] == o[0]).all() for o in orbits)
+        N = series._on_orbit(k, gens, seeds)
+        assert N.degree == orbits[0].size and orbits[0][0] == 0
+        assert N.order == _restricted_order(full, orbits[0])
+        k, gens = N.degree, series._gen_arrays(N)
+        seeds = list(series._commutators(gens, gens))

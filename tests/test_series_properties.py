@@ -10,22 +10,30 @@ _orbits labels orbits with numpy passes; it is compared with a plain
 graph search.  fitting_length and derived_length measure transitive
 constituents; on every Hall subgroup of the oracle strategy's groups
 and of the catalog, they are compared with the lengths of the full
-series, which measure the group as a whole.
+series, which measure the group as a whole.  Each length step works on
+one orbit of its result, and the orbit it picks holds point 0, so both
+lengths are also compared before and after a random relabelling of the
+points.  That step, on any seeds in a transitive wreath product, is
+compared with the full-degree closure.
 """
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (assume, given, settings,  # noqa: E402
+                        strategies as st)
 
 from fitlen.construct import build, parse_expr  # noqa: E402
+from fitlen.group import PermGroup  # noqa: E402
 from fitlen.hall import hall_subgroup  # noqa: E402
 from fitlen.perms import Permutation  # noqa: E402
-from fitlen.series import (_commutators, _orbits,  # noqa: E402
-                           derived_length, derived_series, fitting_length,
+from fitlen.series import (_classes, _closure, _commutators,  # noqa: E402
+                           _gen_arrays, _on_orbit, _orbits, derived_length,
+                           derived_series, fitting_length,
                            lower_nilpotent_series)
 
 from test_oracle_properties import small_exprs  # noqa: E402
@@ -116,3 +124,84 @@ def test_lengths_through_constituents_match_series(entry):
 def test_lengths_through_constituents_match_series_on_catalog(catalog):
     for name, cg in catalog.items():
         _assert_lengths_match_series(cg, name)
+
+
+# -- lengths do not depend on the names of the points -----------------------
+
+def _assert_lengths_survive_relabelling(cg, text, seed):
+    """fitting_length(H, seeds) and derived_length(H) of every Hall
+    subgroup H, before and after conjugating the generators and the Sylow
+    seeds by a seeded random permutation pi of the points."""
+    pi = np.random.default_rng(seed).permutation(cg.degree)
+    pi_inv = np.argsort(pi)
+
+    def moved(arrays):  # x^pi = pi^-1 x pi: the point pi(i) goes to pi(x(i))
+        return [pi[a][pi_inv] for a in arrays]
+
+    for sigma, H, seeds in _hall_cases(cg):
+        K = PermGroup.from_arrays(cg.degree, moved(
+            [g.images for g in H.generators]))
+        K_seeds = {p: moved(s) for p, s in seeds.items()}
+        assert fitting_length(K, K_seeds) == fitting_length(H, seeds), \
+            (text, sigma, seed)
+        assert derived_length(K) == derived_length(H), (text, sigma, seed)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_exprs, st.integers(0, 2 ** 32 - 1))
+def test_lengths_survive_relabelling(entry, seed):
+    text = entry[0]
+    _assert_lengths_survive_relabelling(build(parse_expr(text)), text, seed)
+
+
+@pytest.mark.parametrize("text", [
+    "W(W(C(2,1),C(3,1)),W(C(5,1),C(7,1)))",  # check-wide-w4, degree 210
+    "W(C(2,1),IT(W(C(3,1),C(5,1)),2))",  # h-deep-450
+])
+def test_lengths_survive_relabelling_of_wide_and_deep_groups(text):
+    _assert_lengths_survive_relabelling(build(parse_expr(text)), text, 22)
+
+
+# -- one length step on one orbit of its result -----------------------------
+
+def _wreath_elements(a, b):
+    """Elements of Sym(a) wr Sym(b) on a*b points, blocks of a points."""
+    def place(top, bases):
+        return np.array([a * top[i] + bases[i][j]
+                         for i in range(b) for j in range(a)], dtype=np.intp)
+    return st.builds(place, st.permutations(range(b)), st.lists(
+        st.permutations(range(a)), min_size=b, max_size=b))
+
+
+# generators in a wreath product, and seeds given as words in them
+imprimitive = st.tuples(st.integers(2, 4), st.integers(2, 4)).flatmap(
+    lambda ab: st.tuples(
+        st.lists(_wreath_elements(*ab), min_size=1, max_size=3),
+        st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                 min_size=1, max_size=2)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(imprimitive)
+def test_orbit_step_matches_the_full_closure_for_any_seeds(case):
+    # for any seeds S in a transitive K, the classes are the orbits of
+    # the full-degree closure N = <S>^K, and the step's group is N's
+    # constituent on the class of point 0
+    gens, words = case
+    k = gens[0].size
+    orbits = _orbits(np.array(gens))
+    assume(len(orbits) == 1 and orbits[0].size == k)
+    seeds = [functools.reduce(lambda x, i: gens[i % len(gens)][x], word,
+                              np.arange(k)) for word in words]
+    full, _ = _closure(k, seeds, gens)
+    expected = np.arange(k)
+    for orbit in _orbits(np.array(_gen_arrays(full)).reshape(-1, k)):
+        expected[orbit] = orbit[0]
+    assert np.array_equal(_classes(k, seeds, gens), expected)
+    B = np.flatnonzero(expected == 0)
+    pos = np.empty(k, dtype=np.intp)
+    pos[B] = np.arange(B.size)
+    N = _on_orbit(k, gens, seeds)
+    assert N.degree == B.size
+    assert N.order == PermGroup.from_arrays(B.size, [
+        pos[g[B]] for g in _gen_arrays(full)]).order
