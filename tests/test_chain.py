@@ -188,9 +188,12 @@ def _pinned_chains(catalog, w4):
             for i, T in enumerate(series.terms):
                 yield ("%s/%s/%d" % (label, name, i), T.chain,
                        [g.images for g in T.generators])
-    # every Hall chain of ex33 (three primes) and the 14 proper ones of
-    # the four-prime group that the benchmark's check-wide-w4 runs
-    for name, cg in (("ex33", catalog["ex33"]), ("w4", w4)):
+    # every Hall chain of ex33 (three primes), the 14 proper ones of the
+    # four-prime group that the benchmark's check-wide-w4 runs, and those
+    # of a regular wreath whose top acts on 24 elements (8 block orbits
+    # for {3}, 3 for {2}), so the block representatives are pinned
+    wr = build(parse_expr("WR(C(3,1),W(C(2,1),C(3,1)))"))
+    for name, cg in (("ex33", catalog["ex33"]), ("w4", w4), ("wr72", wr)):
         for size in (1, 2, 3):
             for sigma in combinations(cg.primes, size):
                 chain, kept = hall_chain(cg, sigma)
