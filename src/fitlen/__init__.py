@@ -10,7 +10,7 @@ cross-checks the fast machinery on tiny groups.
 __version__ = "0.1.0"
 
 from .bounds import (BoundEntry, BoundReport, Cover, check_all, cover_bound,
-                     ell_step_bound, enumerate_covers, is_cover,
+                     cover_orders, ell_step_bound, enumerate_covers, is_cover,
                      lambda_inequality_holds, make_cover, product_bound,
                      quadratic_bound, top_two_bound, triple_bound,
                      two_factor_bound, weight)

@@ -114,6 +114,15 @@ def enumerate_covers(ground: Iterable[int], t: int) -> list[Cover]:
     return covers
 
 
+def cover_orders(w: int, t_max: Optional[int] = None) -> range:
+    """The orders t = 3..t_max of the covers of a w-element ground set.
+
+    No cover has more than w + 1 members: at most w complement masks
+    are pairwise disjoint, and a degenerate cover adds the ground set.
+    """
+    return range(3, (w + 1 if t_max is None else min(t_max, w + 1)) + 1)
+
+
 def weight(cover: Cover, h: Callable[[PrimeSet], int]) -> int:
     """Theta: the sum of h(G_rho) over the cover members, read by h(rho)."""
     return sum(h(m) for m in cover.members)
@@ -247,9 +256,6 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
     """
     primes = cg.primes
     w = len(primes)
-    # no cover has more than w + 1 members: at most w complement masks
-    # are pairwise disjoint, and a degenerate cover adds the ground set
-    t_max = w + 1 if t_max is None else min(t_max, w + 1)
 
     def h(sigma: PrimeSet) -> int:
         return hall_profile(cg, sigma)
@@ -260,7 +266,7 @@ def check_all(cg: ConstructedGroup, t_max: Optional[int] = None) -> BoundReport:
 
     # cover-weight bounds, exhaustively over enumerable covers
     if 2 <= w <= COVER_GROUND_LIMIT:
-        for t in range(3, t_max + 1):
+        for t in cover_orders(w, t_max):
             for cover in enumerate_covers(primes, t):
                 theta = weight(cover, h)
                 entries.append(_entry(

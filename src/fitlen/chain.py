@@ -85,15 +85,6 @@ class _Level:
         self.vdone: list[int] = [0]
         self.vscan = 0
 
-    def representative(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(u, u^-1) for the coset representative u of orbit point j.
-
-        Nothing in the engine calls it; it stays for the chain-invariant
-        tests, which read representatives through it.
-        """
-        u_inv = self.trans_inv[j]
-        return invert_array(u_inv), u_inv
-
 
 class StabilizerChain:
     """Base-and-strong-generating-set structure for one permutation group.

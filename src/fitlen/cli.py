@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bounds import check_all, enumerate_covers
+from .bounds import check_all, cover_orders, enumerate_covers
 from .construct import (MAX_DEGREE, NATURAL, REGULAR, Cyclic, Direct,
                         Iterated, Wreath, build, canonical_sigma,
                         expr_to_text, parse_expr)
@@ -199,12 +199,9 @@ def cmd_frak(args, cg, doc: Document, timer: _Timer) -> int:
 
 def cmd_covers(args, cg, doc: Document, timer: _Timer) -> int:
     doc.add("primes", _sigma_text(cg.primes))
-    w = cg.num_primes
-    # no cover has more than w + 1 members (see bounds.check_all)
-    t_max = w + 1 if args.t_max is None else min(args.t_max, w + 1)
     doc.table(["t", "members", "degenerate"])
     count = 0
-    for t in range(3, t_max + 1):
+    for t in cover_orders(cg.num_primes, args.t_max):
         for cover in enumerate_covers(cg.primes, t):
             doc.row(t, str(cover), "yes" if cover.degenerate else "no")
             count += 1

@@ -8,7 +8,7 @@ recursion makes no group: each node is a record of its degree, its
 expression and the recursion that makes its generator list as a
 function of a prime set sigma.  A leaf outside sigma keeps its points
 but adds no generator, a direct product joins both sides, and A wr B
-embeds A_sigma's generators at one block per orbit of B_sigma and
+embeds A_sigma's generators at the least block of each orbit of B_sigma and
 lifts B_sigma's.  With every prime this is the group's own list; with
 sigma it generates (A_sigma)^d B_sigma, a Hall sigma-subgroup.
 Nothing is assumed about either: `build` turns the top record into
@@ -32,7 +32,7 @@ import numpy as np
 from .chain import build_chain
 from .errors import DegreeBudgetError, SylowSystemError, UsageError
 from .group import PermGroup, p_part
-from .perms import Permutation, _arange, compose_arrays
+from .perms import Permutation, _arange, _classes, compose_arrays
 
 NATURAL = "natural"
 REGULAR = "regular"
@@ -401,25 +401,6 @@ def _lift_block_perm(block_perm: np.ndarray, m: int) -> np.ndarray:
             + np.tile(np.arange(m, dtype=np.intp), d))
 
 
-def _block_orbit_reps(d: int, block_perms: list[np.ndarray]) -> list[int]:
-    seen = [False] * d
-    reps = []
-    for start in range(d):
-        if seen[start]:
-            continue
-        reps.append(start)
-        queue = [start]
-        seen[start] = True
-        while queue:
-            pt = queue.pop()
-            for g in block_perms:
-                img = int(g[pt])
-                if not seen[img]:
-                    seen[img] = True
-                    queue.append(img)
-    return reps
-
-
 def _wreath(A: _Part, B: _Part, action: str) -> _Part:
     m = A.degree
     if action == NATURAL:
@@ -436,8 +417,8 @@ def _wreath(A: _Part, B: _Part, action: str) -> _Part:
     def hall_generators(sigma):
         blocks = top(sigma)
         base_gens = base(sigma)
-        gens = [_shift(a, rep * m, n) for rep in _block_orbit_reps(d, blocks)
-                for a in base_gens]
+        reps = np.flatnonzero(_classes(d, blocks) == _arange(d))
+        gens = [_shift(a, rep * m, n) for rep in reps for a in base_gens]
         return gens + [_lift_block_perm(t, m) for t in blocks]
 
     return _Part(n, Wreath(A.expr, B.expr, action), hall_generators)

@@ -86,10 +86,6 @@ class PermGroup:
     def primes(self) -> tuple[int, ...]:
         return tuple(sorted(self.factored_order))
 
-    @property
-    def num_primes(self) -> int:
-        return len(self.factored_order)
-
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise DegreeMismatchError(

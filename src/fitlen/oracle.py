@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NotSolubleError, OracleScaleError
-from .group import PermGroup, factorize
+from .group import PermGroup, factorize, p_part
 
 Elem = tuple[int, ...]
 
@@ -327,10 +327,7 @@ def hall_subgroup_search(T: TinyGroup, sigma: Iterable[int]) -> TinyGroup:
     if cached is not None:
         return cached
     sigma_set = set(key)
-    target = 1
-    for p, e in factorize(T.order).items():
-        if p in sigma_set:
-            target *= p ** e
+    target = p_part(factorize(T.order), sigma_set)
     gens: list[Elem] = []
     current: set[Elem] = {T.identity()}
     if target > 1:

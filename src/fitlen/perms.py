@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from typing import Sequence
 
 import numpy as np
 
@@ -61,8 +62,24 @@ def support_mask(a: np.ndarray) -> int:
     return int.from_bytes(moved.tobytes(), "little")
 
 
-def is_identity_array(a: np.ndarray) -> bool:
-    return bool((a == _arange(a.size)).all())
+def _classes(k: int, seeds: Sequence[np.ndarray], gens=()) -> np.ndarray:
+    """Least point of each point's class in the finest partition of
+    range(k) that joins x to s(x) for each seed s and that each gen
+    permutes: root hooking both ways, then pointer jumping, to a fixpoint.
+    With no gens the classes are the orbits of <seeds>, fixed points too.
+    """
+    label, prev = np.arange(k), None
+    while not np.array_equal(label, prev):
+        prev = label.copy()
+        # x ~ label[x] always, so g(x) ~ g(label[x]) once g permutes classes
+        for a, b in ([(_arange(k), s) for s in seeds]
+                     + [(g, g[label]) for g in gens]):
+            a, b = label[a], label[b]
+            np.minimum.at(label, a, b)
+            np.minimum.at(label, b, a)
+        while not np.array_equal(label, label[label]):
+            label = label[label]
+    return label
 
 
 class Permutation:
@@ -122,7 +139,7 @@ class Permutation:
         return int(self.images[point])
 
     def is_identity(self) -> bool:
-        return is_identity_array(self.images)
+        return bool((self.images == _arange(self.images.size)).all())
 
     def order(self) -> int:
         result = 1

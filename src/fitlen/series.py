@@ -78,8 +78,8 @@ import numpy as np
 from .chain import StabilizerChain
 from .errors import ContainmentError, NotSolubleError
 from .group import PermGroup
-from .perms import (Permutation, _arange, compose_arrays, invert_array,
-                    support_mask)
+from .perms import (Permutation, _arange, _classes, compose_arrays,
+                    invert_array, support_mask)
 
 
 @dataclass(frozen=True)
@@ -300,25 +300,6 @@ def lower_nilpotent_series(G: PermGroup,
 
 
 # -- Fitting and derived length through transitive constituents --------------
-
-def _classes(k: int, seeds: Sequence[np.ndarray], gens=()) -> np.ndarray:
-    """Least point of each point's class in the finest partition of
-    range(k) that joins x to s(x) for each seed s and that each gen
-    permutes: root hooking both ways, then pointer jumping, to a fixpoint.
-    """
-    label, prev = np.arange(k), None
-    while not np.array_equal(label, prev):
-        prev = label.copy()
-        # x ~ label[x] always, so g(x) ~ g(label[x]) once g permutes classes
-        for a, b in ([(_arange(k), s) for s in seeds]
-                     + [(g, g[label]) for g in gens]):
-            a, b = label[a], label[b]
-            np.minimum.at(label, a, b)
-            np.minimum.at(label, b, a)
-        while not np.array_equal(label, label[label]):
-            label = label[label]
-    return label
-
 
 def _orbits(stack: np.ndarray) -> list[np.ndarray]:
     """Orbits of <rows> on their moved points, sorted, by least point."""

@@ -12,7 +12,8 @@ from fitlen.chain import build_chain
 from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.errors import DegreeMismatchError
 from fitlen.group import PermGroup, factorize
-from fitlen.perms import Permutation, parse_cycles, support_mask
+from fitlen.perms import (Permutation, invert_array, parse_cycles,
+                          support_mask)
 from fitlen.series import (derived_series, lower_central_series,
                            lower_nilpotent_series)
 
@@ -213,7 +214,7 @@ def _assert_schreier_complete(chain):
     count = 0
     for i, lv in enumerate(chain.levels):
         for p in range(len(lv.orbit)):
-            u, _ = lv.representative(p)
+            u = invert_array(lv.trans_inv[p])
             for s in lv.gens:
                 w = s[u]
                 schreier = lv.trans_inv[lv.pos[int(w[lv.point])]][w]
@@ -221,7 +222,7 @@ def _assert_schreier_complete(chain):
                 residue, _ = chain.sift(schreier, i + 1)
                 assert residue is None, (i, p)
                 count += 1
-        assert (lv.representative(0)[0] == ident).all()
+        assert (invert_array(lv.trans_inv[0]) == ident).all()
     return count
 
 
@@ -245,7 +246,7 @@ def _skipped_pairs(chain):
     representative's is its level's base point.
     """
     for i, lv in enumerate(chain.levels):
-        reps = [lv.representative(p)[0] for p in range(len(lv.orbit))]
+        reps = [invert_array(lv.trans_inv[p]) for p in range(len(lv.orbit))]
         assert lv.tsupp[0] == 1 << lv.point
         for p, u in enumerate(reps):
             if p:
@@ -288,7 +289,8 @@ def test_pinned_orbits_are_closed_and_masked(catalog, w4):
                 assert set(s[orbit].tolist()) == points, (name, i)
             for j, pt in enumerate(lv.orbit):
                 assert lv.pos[pt] == j, (name, i)
-                u, u_inv = lv.representative(j)
+                u_inv = lv.trans_inv[j]
+                u = invert_array(u_inv)
                 assert u[lv.point] == pt, (name, i, j)
                 assert (u_inv[u] == ident).all(), (name, i, j)
 

@@ -12,7 +12,7 @@ from fitlen import series
 from fitlen.construct import build, hall_chain, parse_expr
 from fitlen.errors import ContainmentError, NotSolubleError
 from fitlen.group import PermGroup
-from fitlen.perms import Permutation, parse_cycles
+from fitlen.perms import Permutation, _classes, parse_cycles
 from fitlen.series import (commutator_subgroup, derived_length, derived_series,
                            fitting_length, is_nilpotent, lower_central_series,
                            lower_nilpotent_series, nilpotent_residual,
@@ -324,7 +324,7 @@ def test_step_on_one_orbit_matches_the_full_closure():
         full, _ = series._closure(k, seeds, gens)
         orbits = series._orbits(np.array(series._gen_arrays(full)))
         assert [o.size for o in orbits] == sizes
-        label = series._classes(k, seeds, gens)
+        label = _classes(k, seeds, gens)
         assert all((label[o] == o[0]).all() for o in orbits)
         N = series._on_orbit(k, gens, seeds)
         assert N.degree == orbits[0].size and orbits[0][0] == 0

@@ -7,14 +7,16 @@ pair, in pair order, on sparse permutations, so that many pairs are
 disjoint, many commute without being disjoint, and many do not commute.
 
 _orbits labels orbits with numpy passes; it is compared with a plain
-graph search.  fitting_length and derived_length measure transitive
-constituents; on every Hall subgroup of the oracle strategy's groups
-and of the catalog, they are compared with the lengths of the full
-series, which measure the group as a whole.  Each length step works on
-one orbit of its result, and the orbit it picks holds point 0, so both
-lengths are also compared before and after a random relabelling of the
-points.  That step, on any seeds in a transitive wreath product, is
-compared with the full-degree closure.
+graph search, and so is _classes, fixed points included, along with the
+block representatives the Hall recursion reads from it.  fitting_length
+and derived_length measure transitive constituents; on every Hall
+subgroup of the oracle strategy's groups and of the catalog, they are
+compared with the lengths of the full series, which measure the group
+as a whole.  Each length step works on one orbit of its result, and
+the orbit it picks holds point 0, so both lengths are also compared
+before and after a random relabelling of the points.  That step, on any
+seeds in a transitive wreath product, is compared with the full-degree
+closure.
 """
 
 import functools
@@ -24,17 +26,17 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import (assume, given, settings,  # noqa: E402
+from hypothesis import (assume, example, given, settings,  # noqa: E402
                         strategies as st)
 
-from fitlen.construct import build, parse_expr  # noqa: E402
+from fitlen.construct import (NATURAL, Cyclic, _Part, _wreath,  # noqa: E402
+                              build, parse_expr)
 from fitlen.group import PermGroup  # noqa: E402
 from fitlen.hall import hall_subgroup  # noqa: E402
-from fitlen.perms import Permutation  # noqa: E402
-from fitlen.series import (_classes, _closure, _commutators,  # noqa: E402
-                           _gen_arrays, _on_orbit, _orbits, derived_length,
-                           derived_series, fitting_length,
-                           lower_nilpotent_series)
+from fitlen.perms import Permutation, _classes  # noqa: E402
+from fitlen.series import (_closure, _commutators, _gen_arrays,  # noqa: E402
+                           _on_orbit, _orbits, derived_length, derived_series,
+                           fitting_length, lower_nilpotent_series)
 
 from test_oracle_properties import small_exprs  # noqa: E402
 
@@ -89,13 +91,37 @@ def _orbits_by_search(n, gens):
     return orbits
 
 
+orbit_cases = st.integers(1, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_sparse_perms(n), max_size=4)))
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.integers(1, 40).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(_sparse_perms(n), max_size=4))))
+@given(orbit_cases)
 def test_orbits_match_graph_search(case):
     n, gens = case
     stack = np.array(gens, dtype=np.intp).reshape(len(gens), n)
     assert [list(o) for o in _orbits(stack)] == _orbits_by_search(n, gens)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(orbit_cases)
+@example((6, []))
+@example((5, [np.arange(5), np.array([1, 0, 2, 3, 4]), np.arange(5)]))
+def test_classes_label_fixed_points_and_give_the_block_representatives(case):
+    # fixed points are classes of their own, and the Hall recursion of
+    # A wr B embeds A's list at the least point of each orbit of B's,
+    # fixed blocks included
+    n, gens = case
+    expected = np.arange(n)
+    for orbit in _orbits_by_search(n, gens):
+        expected[orbit] = orbit[0]
+    assert np.array_equal(_classes(n, gens), expected)
+    base = _Part(2, Cyclic(2, 1), lambda sigma: [np.array([1, 0])])
+    top = _Part(n, Cyclic(2, 1), lambda sigma: gens)
+    hall = _wreath(base, top, NATURAL).hall_generators((2,))
+    reps = [int(np.flatnonzero(g != np.arange(2 * n))[0]) // 2
+            for g in hall[:len(hall) - len(gens)]]
+    assert reps == np.flatnonzero(expected == np.arange(n)).tolist()
 
 
 def _hall_cases(cg):
