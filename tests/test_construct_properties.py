@@ -3,9 +3,11 @@ the saturating size recursion is exact below its saturation value.
 
 Trees are drawn from C and EA leaves over small primes and D, W, WR and
 IT nodes.  The canonical text of a tree parses back to the same tree,
-whitespace between tokens does not change the parse, and every proper
+whitespace between tokens does not change the parse, every proper
 prefix of the text is rejected with the position where the input ran
-out or went wrong.  parse_expr computes no sizes, so deep trees are safe.
+out or went wrong, and a text with one token deleted or two adjacent
+tokens swapped either parses or is rejected no earlier than the first
+token that differs.  parse_expr computes no sizes, so deep trees are safe.
 """
 
 import re
@@ -70,6 +72,33 @@ def test_every_proper_prefix_is_a_positioned_parse_error(expr):
         found = POSITION.match(str(info.value))
         assert found, (text[:end], str(info.value))
         assert int(found.group(1)) <= end
+
+
+@settings(SETTINGS, max_examples=300)
+@given(exprs, st.data())
+def test_token_deletion_or_swap_errors_at_or_after_the_change(expr, data):
+    tokens = TOKEN.findall(expr_to_text(expr))
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    mutated = list(tokens)
+    if i + 1 < len(tokens) and data.draw(st.booleans()):
+        mutated[i], mutated[i + 1] = mutated[i + 1], mutated[i]
+    else:
+        del mutated[i]
+    text = "".join(mutated)
+    try:
+        parse_expr(text)
+    except UsageError as err:
+        found = POSITION.match(str(err))
+        if found:
+            # tokens glue (deleting the "(" of "W(C(" leaves "WC"), so
+            # the first difference is found between token lists
+            glued = TOKEN.findall(text)
+            same = 0
+            while (same < min(len(glued), len(tokens))
+                   and glued[same] == tokens[same]):
+                same += 1
+            start = len("".join(glued[:same]))
+            assert start <= int(found.group(1)) <= len(text), (text, str(err))
 
 
 # -- the saturating size recursion ---------------------------------------------
