@@ -21,8 +21,8 @@ from .errors import (ContainmentError, DegreeBudgetError, DegreeMismatchError,
                      FitlenError, NotAPermutationError, NotSolubleError,
                      OracleScaleError, SylowSystemError, UsageError)
 from .group import PermGroup, factorize, p_part
-from .hall import (SylowSystemReport, frak_h, hall_complement, hall_profile,
-                   hall_subgroup, verify_sylow_system)
+from .hall import (frak_h, hall_complement, hall_profile, hall_subgroup,
+                   verify_sylow_system)
 from .perms import Permutation, parse_cycles
 from .series import (SubgroupSeries, commutator_subgroup, derived_length,
                      derived_series, fitting_length, is_nilpotent,

@@ -24,6 +24,7 @@ from .construct import (MAX_DEGREE, NATURAL, REGULAR, Cyclic, Direct,
                         Iterated, Wreath, build, canonical_sigma,
                         expr_to_text, parse_expr)
 from .errors import FitlenError, SylowSystemError, UsageError
+from .group import p_part
 from .hall import frak_h, hall_profile, hall_subgroup, verify_sylow_system
 from .oracle import (ORACLE_CAP, check_nilpotent_triple_product,
                      check_trifactorization, enumerate_group)
@@ -159,12 +160,11 @@ def _describe_group(doc: Document, cg) -> None:
 
 def cmd_build(args, cg, doc: Document, timer: _Timer) -> int:
     _describe_group(doc, cg)
-    report = verify_sylow_system(cg)
     doc.table(["check", "primes", "expected", "actual", "status"])
-    for label, checks in (("sylow-order", report.prime_checks),
-                          ("pair-join", report.pair_checks)):
-        for c in checks:
-            doc.row(label, _sigma_text(c.primes), c.expected, c.actual, "ok")
+    for sigma, order in verify_sylow_system(cg).items():
+        doc.row("sylow-order" if len(sigma) == 1 else "pair-join",
+                _sigma_text(sigma), p_part(cg.group.factored_order, sigma),
+                order, "ok")
     timer.mark("sylow-checks")
     return OK
 

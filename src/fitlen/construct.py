@@ -24,7 +24,7 @@ contract, as is left association of iterated products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -190,21 +190,6 @@ def _size(expr: GroupExpr, default_action: str, over: int) -> tuple[int, int]:
         raise UsageError("not a group expression: %r" % (e,))
 
     return size(expr)
-
-
-def expr_to_text(expr: GroupExpr) -> str:
-    if isinstance(expr, Cyclic):
-        return "C(%d,%d)" % (expr.p, expr.k)
-    if isinstance(expr, ElemAbelian):
-        return "EA(%d,%d)" % (expr.p, expr.k)
-    if isinstance(expr, Direct):
-        return "D(%s,%s)" % (expr_to_text(expr.left), expr_to_text(expr.right))
-    if isinstance(expr, Wreath):
-        tag = "W" if expr.action == NATURAL else "WR"
-        return "%s(%s,%s)" % (tag, expr_to_text(expr.base), expr_to_text(expr.top))
-    if isinstance(expr, Iterated):
-        return "IT(%s,%d)" % (expr_to_text(expr.expr), expr.times)
-    raise UsageError("not a group expression: %r" % (expr,))
 
 
 # -- constructed groups ---------------------------------------------------
@@ -426,7 +411,16 @@ def _wreath(A: _Part, B: _Part, action: str) -> _Part:
 
 # -- expression text ---------------------------------------------------------
 
-_TOKEN_NAMES = ("C", "EA", "D", "W", "WR", "IT")
+# The parser's and printer's one grammar: name -> (node type, argument
+# kinds in field order, "e" expression or "i" integer, remaining fields)
+_FORMS = {
+    "C": (Cyclic, "ii", ()),
+    "EA": (ElemAbelian, "ii", ()),
+    "D": (Direct, "ee", ()),
+    "W": (Wreath, "ee", (NATURAL,)),
+    "WR": (Wreath, "ee", (REGULAR,)),
+    "IT": (Iterated, "ei", ()),
+}
 
 
 class _Parser:
@@ -450,7 +444,7 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
@@ -466,36 +460,21 @@ class _Parser:
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
         word = self.text[start:self.pos]
-        if word not in _TOKEN_NAMES:
+        if word not in _FORMS:
             self.pos = start
-            self.error("expected one of %s" % (", ".join(_TOKEN_NAMES)))
+            self.error("expected one of %s" % ", ".join(_FORMS))
         return word
 
     def expr(self) -> GroupExpr:
-        word = self.name()
+        node_type, kinds, fixed = _FORMS[self.name()]
         self.expect("(")
-        if word == "C" or word == "EA":
-            p = self.integer()
-            self.expect(",")
-            k = self.integer()
-            node: GroupExpr = Cyclic(p, k) if word == "C" else ElemAbelian(p, k)
-        elif word == "IT":
-            inner = self.expr()
-            self.expect(",")
-            times = self.integer()
-            node = Iterated(inner, times)
-        else:
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            if word == "D":
-                node = Direct(left, right)
-            elif word == "W":
-                node = Wreath(left, right, NATURAL)
-            else:
-                node = Wreath(left, right, REGULAR)
+        args = []
+        for i, kind in enumerate(kinds):
+            if i:
+                self.expect(",")
+            args.append(self.expr() if kind == "e" else self.integer())
         self.expect(")")
-        return node
+        return node_type(*args, *fixed)
 
 
 def parse_expr(text: str) -> GroupExpr:
@@ -509,6 +488,17 @@ def parse_expr(text: str) -> GroupExpr:
         parser.error("trailing input")
     validate_expr(node)
     return node
+
+
+def expr_to_text(expr: GroupExpr) -> str:
+    values = (tuple(getattr(expr, f.name) for f in fields(expr))
+              if isinstance(expr, GroupExpr) else ())
+    for name, (node_type, kinds, fixed) in _FORMS.items():
+        if isinstance(expr, node_type) and values[len(kinds):] == fixed:
+            args = (expr_to_text(v) if kind == "e" else "%d" % v
+                    for kind, v in zip(kinds, values))
+            return "%s(%s)" % (name, ",".join(args))
+    raise UsageError("not a group expression: %r" % (expr,))
 
 
 # -- Hall chains --------------------------------------------------------------

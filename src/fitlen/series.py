@@ -222,19 +222,19 @@ def derived_series(G: PermGroup) -> SubgroupSeries:
 
 # -- lower central series and the nilpotent residual ------------------------
 
-def _central_step(N: PermGroup, conj: Sequence[np.ndarray]):
-    """The step L -> [L, N] of N's lower central series.
+def _central_step(degree: int, right: Sequence[np.ndarray],
+                  conj: Sequence[np.ndarray]):
+    """The step L -> [L, N] of the lower central series of N = <right>.
 
     conj must generate a group in which N and every term of its lower
     central series is normal; N's own generators always qualify, and so
     do the generators of any group having N as a term of one of these
     series.
     """
-    right = _gen_arrays(N)
     # the closure of the pairwise commutators is [<x>^G, <right>] when
     # conj generates a group G that normalizes both arguments and the
     # result, as [x^g, t] = [x, t^(g^-1)]^g; so is the derived step's
-    return lambda L, x: _closure(N.degree, _commutators(x, right), conj)
+    return lambda L, x: _closure(degree, _commutators(x, right), conj)
 
 
 def lower_central_series(H: PermGroup) -> SubgroupSeries:
@@ -243,7 +243,7 @@ def lower_central_series(H: PermGroup) -> SubgroupSeries:
     The last term is the nilpotent residual of H.
     """
     conj = _gen_arrays(H)
-    terms, _ = _descend((H, conj), _central_step(H, conj))
+    terms, _ = _descend((H, conj), _central_step(H.degree, conj, conj))
     return SubgroupSeries("lower_central", tuple(terms))
 
 
@@ -291,7 +291,8 @@ def lower_nilpotent_series(G: PermGroup,
     def residual(N: PermGroup, x):
         if N is G and system_gens is not None:
             return _closure(G.degree, _system_residual_seeds(system_gens), conj)
-        terms, witness = _descend((N, x), _central_step(N, conj))
+        terms, witness = _descend((N, x), _central_step(N.degree,
+                                                        _gen_arrays(N), conj))
         return terms[-1], witness
 
     terms, _ = _descend((G, conj), residual)
@@ -366,8 +367,9 @@ def _derived_step(k: int, gens: Sequence[np.ndarray], seeds) -> PermGroup:
 def _residual_step(k: int, gens: Sequence[np.ndarray], seeds) -> PermGroup:
     if seeds:
         return _on_orbit(k, gens, _system_residual_seeds(seeds))
-    terms, _ = _descend(_closure(k, _commutators(gens, gens), gens),
-                        lambda L, x: _closure(k, _commutators(x, gens), gens))
+    # step(None, gens) is [K, K], the series' first step
+    step = _central_step(k, gens, gens)
+    terms, _ = _descend(step(None, gens), step)
     return terms[-1]
 
 

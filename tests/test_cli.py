@@ -53,6 +53,16 @@ def test_exponent_tower_over_budget_exits_cleanly():
     assert "Traceback" not in proc.stderr
 
 
+def test_degree_budget_error_names_the_all_natural_degree():
+    code, out, err = run_cli("build", "WR(C(2,1),W(C(3,1),C(5,1)))",
+                             "--max-degree", "20")
+    assert code == 1
+    assert out == ""
+    assert err == ("fitlen: degree budget exceeded: expression needs degree "
+                   "2430 > 20 (involves the regular action; all-natural "
+                   "would need degree 30)\n")
+
+
 def test_out_of_memory_exits_cleanly():
     # family 3.2b at ell = 3 (degree 3377) needs more than 1 GB for its
     # chain, so under a 500 MB cap numpy runs out of memory part-way

@@ -160,6 +160,9 @@ def test_parse_whitespace():
 @pytest.mark.parametrize("bad,pos_hint", [
     ("W(C(2,1)", "position"),
     ("X(2,1)", "position 0"),
+    ("WC(2,1)", "position 0: expected one of C, EA, D, W, WR, IT"),
+    ("C(2\u00b2,1)", "position 3: expected ','"),  # a superscript two
+    ("C(\u00b2,1)", "position 2: expected an integer"),
     ("C(4,1)", "prime"),
     ("C(3825123056546413051,1)", "prime"),  # strong pseudoprime to 2..23
     ("EA(18446744073709551629,1)", "2^64"),  # the first prime past 2^64

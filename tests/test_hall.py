@@ -143,17 +143,20 @@ def test_verify_sylow_system_passes_catalog(catalog):
 
 
 def test_verify_nilpotent_group_passes(catalog):
-    report = verify_sylow_system(catalog["c6"])
-    assert all(c.expected == c.actual for c in report.prime_checks)
+    cg = catalog["c6"]
+    orders = verify_sylow_system(cg)
+    assert all(orders[(p,)] == p_part(cg.group.factored_order, (p,))
+               for p in cg.primes)
 
 
 def test_verify_reports_expected_triple():
     cg = build(parse_expr("W(C(2,1),C(3,1))"))
     report = verify_sylow_system(cg)
-    orders = {c.primes: c.actual for c in report.prime_checks}
-    joins = {c.primes: c.actual for c in report.pair_checks}
+    orders = {s: order for s, order in report.items() if len(s) == 1}
+    joins = {s: order for s, order in report.items() if len(s) == 2}
     assert orders == {(2,): 8, (3,): 3}
     assert joins == {(2, 3): 24}
+    assert list(report) == [(2,), (3,), (2, 3)]
 
 
 def assert_hall_chains_certified(cg, name=None):
